@@ -24,6 +24,11 @@
 // transactions are not idempotent. A draining backend (graceful
 // shutdown) is taken out of rotation without being counted as failed.
 //
+// The hop to a backend is an http.RoundTripper the relay path does not
+// look inside. By default it is a link.Transport: a persistent framed
+// connection negotiated per backend, HTTP for backends that refuse it
+// (see internal/link); Config.Transport pins any other.
+//
 // Endpoints: POST /txn (the routed data path), GET /metrics (Prometheus
 // text, ?format=json for a snapshot — the same dual-format contract as
 // loadctld), GET /healthz (proxy self-health: degraded/down as backends
@@ -48,6 +53,7 @@ import (
 	"time"
 
 	"github.com/tpctl/loadctl/internal/ctl"
+	"github.com/tpctl/loadctl/internal/link"
 	"github.com/tpctl/loadctl/internal/loadsig"
 	"github.com/tpctl/loadctl/internal/obs"
 	"github.com/tpctl/loadctl/internal/reqtrace"
@@ -95,7 +101,11 @@ type Config struct {
 	// X-Loadctl-Trace header, so backend traces of the same request share
 	// the ID.
 	ReqTrace reqtrace.Config
-	// Transport overrides the outbound HTTP transport (tests).
+	// Transport overrides the outbound transport: the proxy then uses
+	// exactly this for relays and health probes (tests, decorated
+	// transports). The default is a link.Transport, which negotiates the
+	// framed proxy⇄backend wire per backend and falls back to HTTP for
+	// backends that do not speak it.
 	Transport http.RoundTripper
 }
 
@@ -125,7 +135,7 @@ func (c Config) withDefaults() Config {
 		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Transport == nil {
-		c.Transport = &http.Transport{MaxIdleConnsPerHost: 256}
+		c.Transport = link.NewTransport()
 	}
 	return c
 }
@@ -312,12 +322,13 @@ func New(cfg Config) (*Proxy, error) {
 // Handler returns the HTTP handler serving all proxy endpoints.
 func (p *Proxy) Handler() http.Handler { return p.mux }
 
-// Close stops the health and control loops; the handler keeps routing on
-// last-known backend state.
+// Close stops the health and control loops and drops the idle backend
+// connections; the handler keeps routing on last-known backend state.
 func (p *Proxy) Close() {
 	close(p.stop)
 	<-p.done
 	p.loop.Close()
+	p.client.CloseIdleConnections()
 }
 
 // Policy returns the active routing policy's name.

@@ -38,6 +38,8 @@ func assertProxyExportsAgree(t *testing.T, p *Proxy) {
 	}
 	check("loadctlproxy_relay_p95_seconds", snap.RelayP95Seconds)
 	check("loadctlproxy_incidents_open", float64(snap.IncidentsOpen))
+	check("loadctlproxy_link_dials_total", float64(snap.LinkDials))
+	check("loadctlproxy_link_idle_conns", float64(snap.LinkIdleConns))
 	check("loadctl_go_goroutines", float64(snap.Runtime.Goroutines))
 	check("loadctl_go_heap_bytes", float64(snap.Runtime.HeapBytes))
 	check("loadctl_go_gc_pause_seconds_count", float64(snap.Runtime.GCPauses))
@@ -50,5 +52,10 @@ func assertProxyExportsAgree(t *testing.T, p *Proxy) {
 		check(label("loadctlproxy_backend_inflight"), float64(bs.Inflight))
 		check(label("loadctlproxy_backend_score"), bs.Score)
 		check(label("loadctlproxy_backend_ewma_latency_seconds"), bs.EWMALatencySeconds)
+		link := 0.0
+		if bs.Wire == WireLink {
+			link = 1
+		}
+		check(label("loadctlproxy_backend_link"), link)
 	}
 }

@@ -49,7 +49,10 @@ func (p *Proxy) checkAll() {
 
 // checkOne probes one backend. 200 means healthy; 503 with a parseable
 // draining signal means "alive but draining" (graceful shutdown — out of
-// rotation, not a failure); anything else counts toward DeadAfter.
+// rotation, not a failure); anything else counts toward DeadAfter. A 200
+// whose body is empty or does not parse is still a live backend: it is
+// revived with its load unknown — whatever the data path last ingested,
+// ageing into staleness — rather than failed for its JSON.
 func (p *Proxy) checkOne(b *backend) {
 	b.checks.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.HealthTimeout)
@@ -74,6 +77,8 @@ func (p *Proxy) checkOne(b *backend) {
 		b.sig.Store(&sig)
 		b.sigAt.Store(p.nowNanos())
 		b.draining.Store(sig.Draining())
+		b.revive()
+	case resp.StatusCode == http.StatusOK:
 		b.revive()
 	case resp.StatusCode == http.StatusServiceUnavailable && parsed && sig.Draining():
 		// Draining is deliberate: keep the backend alive but unroutable,

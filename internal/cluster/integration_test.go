@@ -98,7 +98,8 @@ func (b *testBackend) serve(ln net.Listener) {
 }
 
 // kill closes the listener and every open connection — an abrupt crash,
-// not a drain.
+// not a drain. The proxy's link connections are hijacked, so http.Server
+// no longer knows them: the server severs those itself.
 func (b *testBackend) kill() {
 	b.mu.Lock()
 	hs := b.hs
@@ -106,6 +107,7 @@ func (b *testBackend) kill() {
 	if hs != nil {
 		_ = hs.Close()
 	}
+	b.srv.CloseLinks()
 }
 
 // restart rebinds the original address.

@@ -5,6 +5,7 @@ import (
 
 	"net/http"
 
+	"github.com/tpctl/loadctl/internal/link"
 	"github.com/tpctl/loadctl/internal/loadsig"
 	"github.com/tpctl/loadctl/internal/telemetry"
 )
@@ -41,13 +42,24 @@ const (
 	StateDead      = "dead"
 )
 
+// Wires a backend's routed transactions can cross.
+const (
+	WireLink = "link"
+	WireHTTP = "http"
+)
+
 // BackendSnapshot is one backend's row in the proxy snapshot.
 type BackendSnapshot struct {
 	Index int    `json:"index"`
 	URL   string `json:"url"`
 	// State is up, saturated (signal shows a full gate with waiters),
 	// draining, or dead.
-	State    string `json:"state"`
+	State string `json:"state"`
+	// Wire is what a routed transaction to this backend crosses: "link"
+	// once the backend has accepted the loadctl-link/1 upgrade, "http"
+	// before the first routed transaction, for a backend that refused it,
+	// and always under a pinned Config.Transport.
+	Wire     string `json:"wire"`
 	Inflight int64  `json:"inflight"`
 	// Forwarded counts forward attempts, Relayed the responses actually
 	// returned to clients, Errors the transport failures; at quiescence
@@ -87,7 +99,13 @@ type Snapshot struct {
 	Runtime telemetry.RuntimeStats `json:"runtime"`
 	// IncidentsOpen is the number of overload incidents currently open on
 	// the flight recorder (see GET /debug/incidents).
-	IncidentsOpen int               `json:"incidents_open"`
+	IncidentsOpen int `json:"incidents_open"`
+	// LinkDials counts link connections established to all backends since
+	// start; LinkIdleConns is the pooled idle ones right now. A dial count
+	// that keeps climbing under steady load means connections are not
+	// being reused.
+	LinkDials     uint64            `json:"link_dials"`
+	LinkIdleConns int               `json:"link_idle_conns"`
 	Backends      []BackendSnapshot `json:"backends"`
 }
 
@@ -142,10 +160,12 @@ func (p *Proxy) SnapshotNow() Snapshot {
 	snap.RelayP95Seconds = p.relayHist.Quantile(0.95)
 	snap.Runtime = p.runtime.Stats()
 	snap.IncidentsOpen = p.obsRec.OpenCount()
+	lt, _ := p.cfg.Transport.(*link.Transport)
 	for i, b := range p.backends {
 		bs := BackendSnapshot{
 			Index:              i,
 			URL:                b.url,
+			Wire:               WireHTTP,
 			Inflight:           b.inflight.Load(),
 			Forwarded:          b.forwarded.Load(),
 			Relayed:            b.relayed.Load(),
@@ -155,6 +175,14 @@ func (p *Proxy) SnapshotNow() Snapshot {
 			SignalAgeSeconds:   -1,
 			HealthChecks:       b.checks.Load(),
 			HealthFails:        b.checkFails.Load(),
+		}
+		if lt != nil {
+			ws := lt.Stats(b.txnURL.Host)
+			if ws.Link {
+				bs.Wire = WireLink
+			}
+			snap.LinkDials += ws.Dials
+			snap.LinkIdleConns += ws.Idle
 		}
 		if sig := b.sig.Load(); sig != nil {
 			bs.Signal = sig
@@ -232,9 +260,18 @@ func renderProm(snap Snapshot) *telemetry.PromText {
 			}
 			return 0
 		})
+	gaugeVec("loadctlproxy_backend_link", "1 when routed transactions to the backend cross the link, 0 over HTTP",
+		func(bs BackendSnapshot) float64 {
+			if bs.Wire == WireLink {
+				return 1
+			}
+			return 0
+		})
 	gaugeVec("loadctlproxy_backend_ewma_latency_seconds", "smoothed relay latency per backend",
 		func(bs BackendSnapshot) float64 { return bs.EWMALatencySeconds })
 	p.Gauge("loadctlproxy_relay_p95_seconds", "p95 relay latency since start (log-bucketed)", snap.RelayP95Seconds)
+	p.Counter("loadctlproxy_link_dials_total", "link connections established to backends", snap.LinkDials)
+	p.Gauge("loadctlproxy_link_idle_conns", "pooled idle link connections", float64(snap.LinkIdleConns))
 	p.Gauge("loadctlproxy_incidents_open", "overload incidents currently open on the flight recorder", float64(snap.IncidentsOpen))
 	telemetry.AppendRuntimeProm(&p, snap.Runtime)
 	return &p

@@ -18,6 +18,7 @@
 package loadsig
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -43,7 +44,8 @@ type Signal struct {
 	// Status is StatusOK or StatusDraining.
 	Status string `json:"status"`
 	// Limit is the installed total concurrency bound n* (+Inf when
-	// uncontrolled; encoded as "inf" in the header).
+	// uncontrolled; encoded as "inf" in the header and as math.MaxFloat64
+	// in JSON).
 	Limit float64 `json:"limit"`
 	// Active is the number of transactions holding an admission slot.
 	Active int `json:"active"`
@@ -67,6 +69,38 @@ type Signal struct {
 	// scalar routing tiers get for free, without scraping the incident
 	// dump. Omitted from the header when zero.
 	Incidents int `json:"incidents,omitempty"`
+}
+
+// JSONLimit is a concurrency limit as a JSON document carries it. JSON has
+// no infinity and encoding/json refuses one outright, so an uncontrolled
+// gate's +Inf travels as math.MaxFloat64: still a number, so every
+// consumer keeps parsing.
+func JSONLimit(limit float64) float64 {
+	if math.IsInf(limit, 1) {
+		return math.MaxFloat64
+	}
+	return limit
+}
+
+// MarshalJSON encodes the /healthz form, the limit as JSONLimit.
+func (s Signal) MarshalJSON() ([]byte, error) {
+	type plain Signal
+	s.Limit = JSONLimit(s.Limit)
+	return json.Marshal(plain(s))
+}
+
+// UnmarshalJSON decodes the /healthz form and restores a JSONLimit
+// sentinel to +Inf, so the JSON and header forms of one Signal decode
+// alike.
+func (s *Signal) UnmarshalJSON(b []byte) error {
+	type plain Signal
+	if err := json.Unmarshal(b, (*plain)(s)); err != nil {
+		return err
+	}
+	if s.Limit >= math.MaxFloat64 {
+		s.Limit = math.Inf(1)
+	}
+	return nil
 }
 
 // Draining reports whether the backend asked not to receive new work.

@@ -1,6 +1,7 @@
 package loadsig
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 )
@@ -92,5 +93,36 @@ func TestUtilOf(t *testing.T) {
 	}
 	if got := UtilOf(5, 0); got != 0 {
 		t.Fatalf("UtilOf zero limit = %v", got)
+	}
+}
+
+// TestJSONInfiniteLimit: JSON has no infinity, so an uncontrolled
+// backend's limit travels as math.MaxFloat64 and must decode back to +Inf,
+// like the header form's "inf" — by value and by pointer, as /healthz and
+// the proxy's snapshot encode it.
+func TestJSONInfiniteLimit(t *testing.T) {
+	in := Signal{Status: StatusOK, Limit: math.Inf(1), Active: 3, Shedding: []string{"batch"}}
+	for name, v := range map[string]any{"value": in, "pointer": &in, "nested": struct{ S *Signal }{&in}} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if name == "nested" {
+			continue
+		}
+		var out Signal
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatalf("%s: %v in %s", name, err, b)
+		}
+		if !math.IsInf(out.Limit, 1) || out.Active != 3 || out.Status != StatusOK || !out.Shed("batch") {
+			t.Fatalf("%s: %s decoded to %+v, want limit +Inf", name, b, out)
+		}
+	}
+	if !math.IsInf(in.Limit, 1) {
+		t.Fatal("encoding modified the caller's signal")
+	}
+	var s Signal
+	if err := json.Unmarshal([]byte(`{"status":"ok","limit":24}`), &s); err != nil || s.Limit != 24 {
+		t.Fatalf("finite limit decoded as %v (%v)", s.Limit, err)
 	}
 }

@@ -36,7 +36,11 @@
 // cluster.
 package obs
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"github.com/tpctl/loadctl/internal/telemetry"
+)
 
 // Event kinds — the overload vocabulary shared by every tier.
 const (
@@ -119,16 +123,14 @@ func (r *Ring) Put(e *Event) {
 	r.slots[i%uint64(len(r.slots))].Store(e)
 }
 
-// Snapshot collects the retained events, oldest first (best effort under
-// a concurrent writer, like the reqtrace ring).
+// Snapshot collects the retained events, oldest first, as a window no
+// wider than the ring even under a concurrent writer (see
+// telemetry.RingWindow).
 func (r *Ring) Snapshot() []Event {
-	n := uint64(len(r.slots))
-	pos := r.pos.Load()
-	out := make([]Event, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if e := r.slots[(pos+i)%n].Load(); e != nil {
-			out = append(out, *e)
-		}
+	window := telemetry.RingWindow(&r.pos, r.slots)
+	out := make([]Event, len(window))
+	for i, e := range window {
+		out[i] = *e
 	}
 	return out
 }

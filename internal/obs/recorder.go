@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync"
 	"sync/atomic"
+
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 // Recorder is the flight recorder: it files incidents (with their
@@ -145,9 +146,6 @@ func (r *Recorder) Handler() http.Handler {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Dump())
+		telemetry.WriteJSON(w, http.StatusOK, r.Dump())
 	})
 }

@@ -1,10 +1,11 @@
 package reqtrace
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
+
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 // Counts are the recorder's monotone capture counters.
@@ -134,9 +135,6 @@ func (r *Recorder) Handler() http.Handler {
 				return
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.DumpFiltered(class, outcome))
+		telemetry.WriteJSON(w, http.StatusOK, r.DumpFiltered(class, outcome))
 	})
 }

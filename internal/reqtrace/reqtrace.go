@@ -44,6 +44,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 // Header is the HTTP header carrying the trace ID (16 lowercase hex
@@ -457,19 +459,10 @@ func (r *ring) put(t *Trace) {
 	r.slots[i%uint64(len(r.slots))].Store(t)
 }
 
-// snapshot collects the retained traces, oldest first (best effort under
-// concurrent writes).
-func (r *ring) snapshot() []*Trace {
-	n := uint64(len(r.slots))
-	pos := r.pos.Load()
-	out := make([]*Trace, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if t := r.slots[(pos+i)%n].Load(); t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+// snapshot collects the retained traces, oldest first, as a window no
+// wider than the ring even under concurrent writers (see
+// telemetry.RingWindow).
+func (r *ring) snapshot() []*Trace { return telemetry.RingWindow(&r.pos, r.slots) }
 
 // slowest retains the N slowest traces. The fast path is one atomic load:
 // floor is the smallest wall time in the kept set once full (-1 while

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -86,6 +88,51 @@ func TestErrorCapture(t *testing.T) {
 	if tr.Limit != 17.5 || tr.ShedMask != 0b10 {
 		t.Fatalf("admit state = (%g, %b); want (17.5, 10)", tr.Limit, tr.ShedMask)
 	}
+}
+
+// TestRingConcurrentSnapshot is obs.TestRingConcurrentSnapshot for this
+// package's ring, which keeps the same discipline with many writers: while
+// traces stream through a 32-slot ring, no snapshot may pair a trace with
+// one more than two laps newer (WallNanos carries the write sequence).
+func TestRingConcurrentSnapshot(t *testing.T) {
+	var r ring
+	r.slots = make([]atomic.Pointer[Trace], 32)
+	const writes = 20000
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for reader := 0; reader < 4; reader++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := r.snapshot()
+				if len(snap) > 32 {
+					t.Errorf("snapshot of %d traces from a 32-slot ring", len(snap))
+					return
+				}
+				var newest int64
+				for _, tr := range snap {
+					newest = max(newest, tr.WallNanos)
+				}
+				for _, tr := range snap {
+					if newest-tr.WallNanos >= 64 {
+						t.Errorf("seq %d survived alongside %d", tr.WallNanos, newest)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := int64(1); i <= writes; i++ {
+		r.put(&Trace{WallNanos: i})
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestRingWrap: the ring keeps the newest RingSize traces.

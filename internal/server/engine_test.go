@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,6 +27,10 @@ func execWithRetry(t *testing.T, e Engine, spec TxnSpec) int {
 		if attempts > 10000 {
 			t.Fatal("transaction starved: 10000 aborts")
 		}
+		// A retry is a new, younger transaction: under wait-die it dies
+		// again at once unless the older holder gets to run and finish, and
+		// with more workers than cores it only does if the loser yields.
+		runtime.Gosched()
 	}
 }
 

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 
 	"github.com/tpctl/loadctl/internal/sim"
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 // The /txn fast path: pooled per-request scratch state, a zero-alloc
@@ -25,6 +27,9 @@ type txnScratch struct {
 	write []bool
 	rng   sim.FastRNG
 	buf   []byte
+	// body presents a link frame's JSON body as the io.Reader the decoder
+	// wants (the HTTP adapter passes r.Body itself).
+	body bytes.Reader
 }
 
 // txnScratchPool recycles scratch across requests. New is nil on
@@ -221,16 +226,17 @@ func jsonPlain(s string) bool {
 	return true
 }
 
-// writeTxnFast renders a txnResponse by hand into the pooled buffer and
-// writes it — the shape (field order, omitempty behavior) matches the
+// renderTxn renders a txnResponse by hand into the pooled buffer and
+// returns it — the shape (field order, omitempty behavior) matches the
 // encoding/json rendering of txnResponse, which remains the fallback
 // for class names that would need escaping.
 //
 //loadctl:hotpath
-func writeTxnFast(w http.ResponseWriter, sc *txnScratch, code int, status, shape, admissionClass string, attempts int, latMS float64) {
+func renderTxn(sc *txnScratch, status, shape, admissionClass string, attempts int, latMS float64) []byte {
 	if !jsonPlain(shape) || !jsonPlain(admissionClass) {
-		writeJSON(w, code, txnResponse{Status: status, Class: shape, AdmissionClass: admissionClass, Attempts: attempts, LatencyMS: latMS}) //loadctl:allocok audited: fallback for class names needing JSON escaping — never taken with plain config
-		return
+		// A struct of strings and a finite latency: the encode cannot fail.
+		b, _ := telemetry.EncodeJSON(txnResponse{Status: status, Class: shape, AdmissionClass: admissionClass, Attempts: attempts, LatencyMS: latMS}) //loadctl:allocok audited: fallback for class names needing JSON escaping — never taken with plain config
+		return b
 	}
 	b := append(sc.buf[:0], `{"status":"`...)
 	b = append(b, status...)
@@ -253,8 +259,5 @@ func writeTxnFast(w http.ResponseWriter, sc *txnScratch, code int, status, shape
 	b = strconv.AppendFloat(b, latMS, 'f', -1, 64)
 	b = append(b, '}', '\n')
 	sc.buf = b
-	h := w.Header()
-	setHeaderValue(h, "Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(b)
+	return b
 }

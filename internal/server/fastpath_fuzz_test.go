@@ -1,10 +1,6 @@
 package server
 
-import (
-	"net/http"
-	"net/url"
-	"testing"
-)
+import "testing"
 
 // FuzzTxnQueryParse holds the zero-alloc query parser to the legacy
 // url.Values reference path by differential testing: for every raw query
@@ -45,8 +41,7 @@ func FuzzTxnQueryParse(f *testing.F) {
 		}
 		var fast, legacy txnRequest
 		fastErr := parseTxnQueryFast(raw, &fast)
-		r := &http.Request{URL: &url.URL{RawQuery: raw}}
-		legacyErr := parseTxnQueryLegacy(r, &legacy)
+		legacyErr := parseTxnQueryLegacy(raw, &legacy)
 		if (fastErr == "") != (legacyErr == "") {
 			t.Fatalf("raw %q: fast err %q, legacy err %q", raw, fastErr, legacyErr)
 		}

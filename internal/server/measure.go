@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"time"
 
 	"github.com/tpctl/loadctl/internal/gate"
@@ -77,8 +78,11 @@ func accumOf(f telemetry.Fold) telemetry.Accum {
 type IntervalStats = telemetry.Interval
 
 // Totals are monotone counters since server start. Disconnects counts
-// transactions abandoned because the client's request context was
-// canceled mid-execution — distinct from engine errors.
+// requests whose caller went away before an answer existed — the request
+// context canceled (HTTP) or the link connection closed, while queued for
+// admission or mid-execution — distinct from engine errors and from
+// admission timeouts. Every request leaves through exactly one of commit,
+// terminal abort, rejection, timeout, disconnect or engine error.
 type Totals struct {
 	Requests    uint64 `json:"requests"`
 	Commits     uint64 `json:"commits"`
@@ -157,6 +161,9 @@ type Snapshot struct {
 	// IncidentsOpen is the number of overload incidents currently open on
 	// the flight recorder (see GET /debug/incidents).
 	IncidentsOpen int `json:"incidents_open"`
+	// LinkConns is the number of open link connections (proxies speaking
+	// loadctl-link/1 to this backend; see internal/link).
+	LinkConns int `json:"link_conns"`
 	// Classes holds the per-class breakdown in configuration order.
 	Classes []ClassSnapshot `json:"classes"`
 	// History holds the retained closed aggregate intervals, oldest first
@@ -218,6 +225,27 @@ func (s *Server) SnapshotNow(withHistory bool) Snapshot {
 	snap.Gate = s.multi.AggregateStats()
 	snap.Runtime = s.runtime.Stats()
 	snap.IncidentsOpen = s.obsRec.OpenCount()
+	snap.LinkConns = s.LinkConns()
+	return snap
+}
+
+// jsonSnapshot is snap as /metrics?format=json serves it: every limit an
+// uncontrolled gate (-controller none) leaves at +Inf goes out as
+// loadsig.JSONLimit, the sentinel /healthz uses. The Prometheus form is
+// rendered from the untouched snapshot, where +Inf is a legal value.
+func jsonSnapshot(snap Snapshot) Snapshot {
+	fin := loadsig.JSONLimit
+	snap.Limit, snap.Interval.Limit = fin(snap.Limit), fin(snap.Interval.Limit)
+	snap.Classes = slices.Clone(snap.Classes)
+	for i := range snap.Classes {
+		c := &snap.Classes[i]
+		c.Limit, c.Interval.Limit = fin(c.Limit), fin(c.Interval.Limit)
+		c.Gate.Share, c.Gate.Limit = fin(c.Gate.Share), fin(c.Gate.Limit)
+	}
+	snap.History = slices.Clone(snap.History)
+	for i := range snap.History {
+		snap.History[i].Limit = fin(snap.History[i].Limit)
+	}
 	return snap
 }
 

@@ -26,6 +26,9 @@
 //	                 (scope: pool, perclass, or a single class)
 //	GET  /healthz    machine-readable load signal (JSON); 503 while
 //	                 draining — the cluster tier's active health check
+//	GET  /link       Upgrade: loadctl-link/1 — the proxy's persistent
+//	                 framed connection; carries /txn without net/http
+//	                 (see internal/link)
 //	GET  /debug/requests  captured per-request traces: head-sampled,
 //	                 shed/failed, and slowest-N requests with per-stage
 //	                 spans (see internal/reqtrace); ?class= and ?outcome=
@@ -49,6 +52,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -60,6 +64,7 @@ import (
 	"github.com/tpctl/loadctl/internal/ctl"
 	"github.com/tpctl/loadctl/internal/gate"
 	"github.com/tpctl/loadctl/internal/kv"
+	"github.com/tpctl/loadctl/internal/link"
 	"github.com/tpctl/loadctl/internal/obs"
 	"github.com/tpctl/loadctl/internal/reqtrace"
 	"github.com/tpctl/loadctl/internal/telemetry"
@@ -239,6 +244,16 @@ type Server struct {
 	baseWeights []float64
 
 	loop *ctl.Loop // the sense→decide→actuate cycle; owns the trace
+
+	// Link connections (GET /link upgrades, see internal/link). They are
+	// hijacked, so http.Server's Close and Shutdown neither see nor end
+	// them: the server owns them. linkDraining makes every connection
+	// close after its current answer; linkDrained is closed when the last
+	// one has gone during a DrainLinks.
+	linkMu       sync.Mutex
+	links        map[*link.ServerConn]struct{}
+	linkDraining atomic.Bool
+	linkDrained  chan struct{}
 }
 
 // New validates cfg, starts the measurement loop and returns the server.
@@ -332,8 +347,10 @@ func New(cfg Config) (*Server, error) {
 	s.lastTick = s.start
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/txn", s.handleTxn)
+	s.links = make(map[*link.ServerConn]struct{})
+	s.mux.HandleFunc(link.Path, s.handleLink)
 	s.mux.Handle("/metrics", telemetry.MetricsEndpoint{
-		Snapshot:  func(withHistory bool) any { return s.SnapshotNow(withHistory) },
+		Snapshot:  func(withHistory bool) any { return jsonSnapshot(s.SnapshotNow(withHistory)) },
 		Prom:      func() *telemetry.PromText { return renderProm(s.SnapshotNow(false)) },
 		HistoryOK: true,
 	})
@@ -360,9 +377,96 @@ func (s *Server) Requests() *reqtrace.Recorder { return s.rec }
 // GET /debug/incidents), for embedders mounting it on a debug listener.
 func (s *Server) Incidents() *obs.Recorder { return s.obsRec }
 
-// Close stops the measurement loop; the handler keeps working with the
-// last installed limit.
-func (s *Server) Close() { s.loop.Close() }
+// Close stops the measurement loop and severs the link connections; the
+// handler keeps working with the last installed limit.
+func (s *Server) Close() {
+	s.loop.Close()
+	s.CloseLinks()
+}
+
+// handleLink upgrades a proxy's connection to the link and serves it from
+// this goroutine — the one net/http started for the connection — until
+// the proxy closes it, a drain ends it or it is severed.
+func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
+	if s.linkDraining.Load() {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return
+	}
+	c, err := link.Accept(w, r)
+	if err != nil {
+		return // Accept answered the request itself
+	}
+	s.linkMu.Lock()
+	s.links[c] = struct{}{}
+	if s.linkDraining.Load() {
+		c.Interrupt() // upgraded while DrainLinks was already under way
+	}
+	s.linkMu.Unlock()
+	// Deferred, so that a panic net/http recovers from still unregisters
+	// the connection and a drain does not wait for it until its deadline.
+	defer func() {
+		s.linkMu.Lock()
+		delete(s.links, c)
+		if len(s.links) == 0 && s.linkDrained != nil {
+			close(s.linkDrained)
+			s.linkDrained = nil
+		}
+		s.linkMu.Unlock()
+	}()
+	// A broken connection is the proxy's to report (502, backend dead). A
+	// failed answer write is deliberately not a disconnect here: the
+	// transaction already left through commit or abort, and Totals keeps
+	// one exit per request — as the HTTP adapter's failed Write does.
+	_ = c.Serve(s)
+}
+
+// LinkConns returns the number of open link connections.
+func (s *Server) LinkConns() int {
+	s.linkMu.Lock()
+	defer s.linkMu.Unlock()
+	return len(s.links)
+}
+
+// CloseLinks severs every open link connection, as a crash would: a
+// transaction in flight still runs but loses its answer. New upgrades are
+// still accepted afterwards.
+func (s *Server) CloseLinks() {
+	s.linkMu.Lock()
+	defer s.linkMu.Unlock()
+	for c := range s.links {
+		_ = c.Close()
+	}
+}
+
+// DrainLinks is the link half of a graceful shutdown, to run after
+// http.Server.Shutdown (which cannot see hijacked connections): idle link
+// connections close at once, one with a transaction in flight closes
+// after its answer is written, and no new upgrade is accepted. It returns
+// nil once all are gone; when ctx ends first it severs the rest and
+// returns ctx's error.
+func (s *Server) DrainLinks(ctx context.Context) error {
+	s.linkDraining.Store(true)
+	s.linkMu.Lock()
+	if len(s.links) == 0 {
+		s.linkMu.Unlock()
+		return nil
+	}
+	if s.linkDrained == nil {
+		s.linkDrained = make(chan struct{}) // shared by concurrent drains
+	}
+	drained := s.linkDrained
+	for c := range s.links {
+		c.Interrupt()
+	}
+	s.linkMu.Unlock()
+	select {
+	case <-drained:
+		return nil
+	case <-ctx.Done():
+		s.CloseLinks()
+		return ctx.Err()
+	}
+}
 
 // Limit returns the currently installed total concurrency bound: the
 // shared pool in pool mode, the sum of class limits in per-class mode.

@@ -502,7 +502,10 @@ func TestHealthzLoadSignal(t *testing.T) {
 
 func TestLoadSignalShedState(t *testing.T) {
 	s, ts := newTestServer(t, 1, func(cfg *Config) {
-		cfg.Interval = 50 * time.Millisecond
+		// A class is marked shedding for the one interval after it shed, and
+		// the rendered signal is cached for signalTTL: the interval must span
+		// a few refreshes or the poll below can step over the whole window.
+		cfg.Interval = 3 * signalTTL
 		cfg.Reject = true
 		cfg.Engine = slowEngine{inner: cfg.Engine, delay: 400 * time.Millisecond}
 		cfg.Classes = []ClassConfig{

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
+	"github.com/tpctl/loadctl/internal/link"
 	"github.com/tpctl/loadctl/internal/loadsig"
 	"github.com/tpctl/loadctl/internal/reqtrace"
 	"github.com/tpctl/loadctl/internal/sim"
@@ -53,14 +56,15 @@ type txnResponse struct {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	telemetry.WriteJSON(w, code, v) //loadctl:allocok audited: response encode — pooled buffers in telemetry.WriteJSON, in the 39-alloc /txn budget
+	telemetry.WriteJSON(w, code, v)
 }
 
 // parseTxnQueryLegacy is the url.Values query path, kept for queries
 // outside the fast parser's plain subset (percent escapes, '+', ';').
-// It is the semantic reference the fast parser is fuzzed against.
-func parseTxnQueryLegacy(r *http.Request, req *txnRequest) (errMsg string) {
-	q := r.URL.Query()
+// It is the semantic reference the fast parser is fuzzed against. Like
+// URL.Query it keeps what parsed of a query that is partly malformed.
+func parseTxnQueryLegacy(raw string, req *txnRequest) (errMsg string) {
+	q, _ := url.ParseQuery(raw)
 	if v := q.Get("class"); v != "" {
 		req.Class = v
 	}
@@ -118,46 +122,88 @@ func (s *Server) resolveClass(req txnRequest) (ci int, shape string, errMsg stri
 	return ci, shape, ""
 }
 
-// handleTxn is the /txn data path; with admission, execution and
-// response in one function it is the tree's hottest code. The steady
-// state allocates nothing of its own: request state, access set, RNG
-// and response buffer live in pooled txnScratch (fastpath.go), the kv
-// transaction is pooled in the store, and the admission happy path
-// skips the cancellable context entirely via AcquireFast.
+// txnResult is what one transaction answers, independent of the wire it
+// arrived on: the HTTP adapter turns it into a status line and headers,
+// the link adapter into a response frame, and neither looks inside.
+type txnResult struct {
+	// status is the HTTP status code; 0 means the caller went away and
+	// nothing is to be written.
+	status int
+	// signal, retryAfter and contentType are the X-Loadctl-Load,
+	// Retry-After and Content-Type values ("" = header absent).
+	signal      string
+	retryAfter  string
+	contentType string
+	// echo is the trace ID to echo to the caller: set for head-sampled
+	// requests only, so the caller learns which of its requests can be
+	// looked up here and the unsampled path stays allocation-free.
+	echo uint64
+	// body aliases the scratch's render buffer.
+	body []byte
+}
+
+const (
+	contentJSON = "application/json"
+	// contentText is what http.Error sets; the 400s keep it on both wires.
+	contentText = "text/plain; charset=utf-8"
+)
+
+// fail renders a plain-text error answer — msg+detail and a newline, the
+// body http.Error writes.
 //
 //loadctl:hotpath
-func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	sc := getTxnScratch()
-	defer putTxnScratch(sc)
+func (sc *txnScratch) fail(code int, msg, detail string) txnResult {
+	b := append(sc.buf[:0], msg...)
+	b = append(b, detail...)
+	sc.buf = append(b, '\n')
+	return txnResult{status: code, contentType: contentText, body: sc.buf}
+}
+
+// closeWatcher is how a request that did not arrive over HTTP tells a
+// queued admission that its caller hung up (link.Request implements it).
+// An HTTP request carries the same fact in its context and passes nil.
+type closeWatcher interface {
+	WatchClose(cancel context.CancelFunc) (stop func())
+}
+
+// runTxn is the /txn data path, whichever wire the request came in on:
+// parse (fast parser, legacy fallback, JSON body), class resolution,
+// tracing, admission, the execute/retry loop, accounting and the rendered
+// answer. With admission, execution and response in one function it is
+// the tree's hottest code. The steady state allocates nothing of its own:
+// request state, access set, RNG and response buffer live in the pooled
+// txnScratch (fastpath.go), the kv transaction is pooled in the store, and
+// the admission happy path skips the cancellable context entirely via
+// AcquireFast.
+//
+// rawQuery may alias a buffer the caller reuses once runTxn returns;
+// nothing retains it. body is nil when the request has none. traceID 0
+// means the caller propagated none. ctx ends when the caller is known to
+// be gone; cw, when non-nil, is armed only around a contended admission
+// wait — the one place a request blocks for long.
+//
+//loadctl:hotpath
+func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, body io.Reader, traceID uint64, cw closeWatcher) txnResult {
 	req := &sc.req
-	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(req); err != nil { //loadctl:allocok audited: request-body decode, only when a body is present
-			http.Error(w, "bad JSON body: "+err.Error(), http.StatusBadRequest) //loadctl:allocok audited: 400 path for malformed JSON
-			return
+	if body != nil {
+		if err := json.NewDecoder(body).Decode(req); err != nil { //loadctl:allocok audited: request-body decode, only when a body is present
+			return sc.fail(http.StatusBadRequest, "bad JSON body: ", err.Error()) //loadctl:allocok audited: 400 path for malformed JSON
 		}
 	}
-	if raw := r.URL.RawQuery; canFastParseQuery(raw) {
-		if errMsg := parseTxnQueryFast(raw, req); errMsg != "" {
-			http.Error(w, errMsg, http.StatusBadRequest)
-			return
+	if canFastParseQuery(rawQuery) {
+		if errMsg := parseTxnQueryFast(rawQuery, req); errMsg != "" {
+			return sc.fail(http.StatusBadRequest, errMsg, "")
 		}
-	} else if errMsg := parseTxnQueryLegacy(r, req); errMsg != "" { //loadctl:allocok audited: legacy url.Values parse, only for queries with escapes outside the fast parser's plain subset
-		http.Error(w, errMsg, http.StatusBadRequest)
-		return
+	} else if errMsg := parseTxnQueryLegacy(rawQuery, req); errMsg != "" { //loadctl:allocok audited: legacy url.Values parse, only for queries with escapes outside the fast parser's plain subset
+		return sc.fail(http.StatusBadRequest, errMsg, "")
 	}
 	if req.K < 0 || req.Base < 0 || req.Span < 0 {
-		http.Error(w, "k, base and span must not be negative", http.StatusBadRequest)
-		return
+		return sc.fail(http.StatusBadRequest, "k, base and span must not be negative", "")
 	}
 
 	ci, shape, errMsg := s.resolveClass(*req)
 	if errMsg != "" {
-		http.Error(w, errMsg, http.StatusBadRequest)
-		return
+		return sc.fail(http.StatusBadRequest, errMsg, "")
 	}
 
 	now := s.elapsed()
@@ -173,16 +219,13 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	// trace joins the proxy's or the load generator's) or mint one. The
 	// span buffer is pooled — an unsampled, healthy, fast request records
 	// into it and returns it without allocating.
-	traceID, hadTrace := reqtrace.FromRequest(r)
-	if !hadTrace {
+	if traceID == 0 {
 		traceID = reqtrace.NewID()
 	}
 	tr := s.rec.Begin(traceID)
+	res := txnResult{contentType: contentJSON}
 	if tr.Sampled() {
-		// Echo the ID only for head-sampled requests: the caller learns
-		// which of its requests can be looked up here, and the unsampled
-		// path stays allocation-free.
-		w.Header().Set(reqtrace.Header, reqtrace.FormatID(traceID)) //loadctl:allocok audited: header echo for head-sampled traces only
+		res.echo = traceID
 	}
 	sc.rng = sim.NewFast(s.cfg.Seed, seq)
 	var query bool
@@ -219,20 +262,19 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 
 	// Admission: the adaptive gate is the paper's §4.3 load control in
 	// front of real network traffic, per class. Every shed or served
-	// answer carries the load signal header, rendered at response time
-	// (not arrival) so a request that queued does not ship stale
-	// saturation state as fresh; tr.SetAdmit snapshots the limit the
-	// request hit at the gate plus the last closed interval's shed mask.
+	// answer carries the load signal, rendered at response time (not
+	// arrival) so a request that queued does not ship stale saturation
+	// state as fresh; tr.SetAdmit snapshots the limit the request hit at
+	// the gate plus the last closed interval's shed mask.
 	if s.cfg.Reject {
 		if !s.multi.TryAcquire(ci) {
 			cell.Inc(cRejected)
 			tr.SetAdmit(s.loadSignal().sig.Limit, s.shedMask.Load())
 			tr.Span(reqtrace.SpanQueue, tr.Now(), reqtrace.DetailRejected, 0)
-			setHeaderValue(w.Header(), loadsig.Header, s.loadSignal().header)
-			setHeaderValue(w.Header(), "Retry-After", loadsig.RetryAfter())
-			writeTxnFast(w, sc, http.StatusTooManyRequests, "rejected", class, className, 0, msSince(t0))
+			res.status, res.signal, res.retryAfter = http.StatusTooManyRequests, s.loadSignal().header, loadsig.RetryAfter()
+			res.body = renderTxn(sc, "rejected", class, className, 0, msSince(t0))
 			tr.Finish(reqtrace.StatusRejected, false)
-			return
+			return res
 		}
 		tr.SetAdmit(s.loadSignal().sig.Limit, s.shedMask.Load())
 		// Marker span (zero wait by construction): non-blocking admission
@@ -245,18 +287,33 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 			// Contended: fall back to the queue with a cancellable
 			// deadline. AcquireFast counted nothing, so the arrival is
 			// counted exactly once, by Acquire.
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout) //loadctl:allocok audited: contended admission only — the uncontended path fast-admits without a context
-			err := s.multi.Acquire(ctx, ci)
+			qctx, cancel := context.WithTimeout(ctx, s.cfg.QueueTimeout) //loadctl:allocok audited: contended admission only — the uncontended path fast-admits without a context
+			var stop func()
+			if cw != nil {
+				stop = cw.WatchClose(cancel) //loadctl:allocok audited: contended admission only, beside the context above
+			}
+			err := s.multi.Acquire(qctx, ci)
+			if stop != nil {
+				stop()
+			}
 			cancel()
+			if errors.Is(err, context.Canceled) {
+				// The caller hung up while queued: its slot in the queue is
+				// free again and there is nobody to answer.
+				cell.Inc(cDisconnects)
+				tr.SetAdmit(s.loadSignal().sig.Limit, s.shedMask.Load())
+				tr.Span(reqtrace.SpanQueue, qStart, reqtrace.DetailDisconnect, 0)
+				tr.Finish(reqtrace.StatusDisconnect, false)
+				return txnResult{}
+			}
 			if err != nil {
 				cell.Inc(cTimeouts)
 				tr.SetAdmit(s.loadSignal().sig.Limit, s.shedMask.Load())
 				tr.Span(reqtrace.SpanQueue, qStart, reqtrace.DetailTimeout, 0)
-				setHeaderValue(w.Header(), loadsig.Header, s.loadSignal().header)
-				setHeaderValue(w.Header(), "Retry-After", loadsig.RetryAfter())
-				writeTxnFast(w, sc, http.StatusServiceUnavailable, "timeout", class, className, 0, msSince(t0))
+				res.status, res.signal, res.retryAfter = http.StatusServiceUnavailable, s.loadSignal().header, loadsig.RetryAfter()
+				res.body = renderTxn(sc, "timeout", class, className, 0, msSince(t0))
 				tr.Finish(reqtrace.StatusTimeout, false)
-				return
+				return res
 			}
 		}
 		tr.SetAdmit(s.loadSignal().sig.Limit, s.shedMask.Load())
@@ -269,7 +326,7 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	for {
 		attempts++
 		eStart := tr.Now()
-		execErr = s.cfg.Engine.Exec(r.Context(), spec)
+		execErr = s.cfg.Engine.Exec(ctx, spec)
 		if !errors.Is(execErr, ErrAborted) {
 			detail := reqtrace.DetailCommitted
 			if execErr != nil {
@@ -287,7 +344,7 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 
 	s.multi.Release(ci)
 	s.noteExit(cell)
-	setHeaderValue(w.Header(), loadsig.Header, s.loadSignal().header)
+	res.signal = s.loadSignal().header
 
 	lat := time.Since(t0)
 	switch {
@@ -296,24 +353,95 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 		cell.Inc(cRespN)
 		cell.Inc(cCommits)
 		s.hists[ci].Observe(lat.Seconds())
-		writeTxnFast(w, sc, http.StatusOK, "committed", class, className, attempts, msSince(t0))
+		res.status = http.StatusOK
+		res.body = renderTxn(sc, "committed", class, className, attempts, msSince(t0))
 		// FinishWall with the histogram's own sample: trace wall time and
 		// the telemetry bucket the request landed in agree exactly.
 		tr.FinishWall(reqtrace.StatusCommitted, true, lat)
 	case errors.Is(execErr, ErrAborted):
-		writeTxnFast(w, sc, http.StatusConflict, "aborted", class, className, attempts, msSince(t0))
+		res.status = http.StatusConflict
+		res.body = renderTxn(sc, "aborted", class, className, attempts, msSince(t0))
 		tr.FinishWall(reqtrace.StatusAborted, false, lat)
 	case errors.Is(execErr, context.Canceled), errors.Is(execErr, context.DeadlineExceeded):
 		// The client went away (or its deadline passed) mid-transaction:
-		// not an engine failure. Count it separately and skip the write —
+		// not an engine failure. Count it separately and answer nothing —
 		// nobody is left to read a response.
 		cell.Inc(cDisconnects)
 		tr.FinishWall(reqtrace.StatusDisconnect, false, lat)
+		return txnResult{}
 	default:
 		// A genuine engine failure.
-		writeTxnFast(w, sc, http.StatusInternalServerError, "error", class, className, attempts, msSince(t0))
+		res.status = http.StatusInternalServerError
+		res.body = renderTxn(sc, "error", class, className, attempts, msSince(t0))
 		tr.FinishWall(reqtrace.StatusError, false, lat)
 	}
+	return res
+}
+
+// handleTxn is the HTTP adapter of runTxn: it moves bytes between
+// net/http and the transaction path and holds no logic of its own.
+//
+//loadctl:hotpath
+func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return
+	}
+	sc := getTxnScratch()
+	defer putTxnScratch(sc)
+	var body io.Reader
+	if r.Body != nil && r.ContentLength != 0 {
+		body = r.Body
+	}
+	traceID, _ := reqtrace.FromRequest(r)
+	res := s.runTxn(r.Context(), sc, r.URL.RawQuery, body, traceID, nil)
+	if res.status == 0 {
+		return
+	}
+	h := w.Header()
+	if res.echo != 0 {
+		h.Set(reqtrace.Header, reqtrace.FormatID(res.echo)) //loadctl:allocok audited: header echo for head-sampled traces only
+	}
+	if res.signal != "" {
+		setHeaderValue(h, loadsig.Header, res.signal)
+	}
+	if res.retryAfter != "" {
+		setHeaderValue(h, "Retry-After", res.retryAfter)
+	}
+	setHeaderValue(h, "Content-Type", res.contentType)
+	if res.contentType == contentText {
+		setHeaderValue(h, "X-Content-Type-Options", "nosniff") // as http.Error does
+	}
+	w.WriteHeader(res.status)
+	_, _ = w.Write(res.body)
+}
+
+// ServeLink is the link adapter of runTxn (it implements link.Handler):
+// one request frame in, one response frame out, on the connection's own
+// goroutine. It asks the connection to close once a drain has begun.
+//
+//loadctl:hotpath
+func (s *Server) ServeLink(req *link.Request, frame []byte) ([]byte, bool) {
+	sc := getTxnScratch()
+	defer putTxnScratch(sc) // after the frame is built: res.body aliases sc.buf
+	var body io.Reader
+	if len(req.Body) > 0 {
+		sc.body.Reset(req.Body)
+		body = &sc.body
+	}
+	// The context never ends: an admitted transaction runs to completion,
+	// and a queued one learns of a hang-up through the close-watcher.
+	res := s.runTxn(context.Background(), sc, req.Query, body, req.TraceID, req)
+	if res.status == 0 {
+		return frame, false
+	}
+	// AppendResponse only refuses header strings or bodies no answer of
+	// runTxn reaches; it then leaves frame empty and the connection ends.
+	frame, _ = link.AppendResponse(frame, &link.Response{
+		Status: res.status, TraceID: res.echo, Signal: res.signal,
+		RetryAfter: res.retryAfter, ContentType: res.contentType, Body: res.body,
+	})
+	return frame, !s.linkDraining.Load()
 }
 
 func msSince(t0 time.Time) float64 { return float64(time.Since(t0)) / float64(time.Millisecond) }
@@ -403,6 +531,7 @@ func renderProm(snap Snapshot) *telemetry.PromText {
 	counterVec("loadctl_class_timeouts_total", "class requests that gave up waiting for admission",
 		func(c ClassSnapshot) uint64 { return c.Totals.Timeouts })
 	p.Gauge("loadctl_incidents_open", "overload incidents currently open on the flight recorder", float64(snap.IncidentsOpen))
+	p.Gauge("loadctl_link_conns", "open proxy link connections (loadctl-link/1)", float64(snap.LinkConns))
 	telemetry.AppendRuntimeProm(&p, snap.Runtime)
 	return &p
 }

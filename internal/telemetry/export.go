@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,13 +10,29 @@ import (
 	"strings"
 )
 
-// WriteJSON renders v as indented JSON with the given status code.
+// WriteJSON renders v as indented JSON with the given status code. The
+// document is encoded before anything is written, so a value that cannot
+// be encoded answers 500 with the reason instead of 200 with no body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	b, err := EncodeJSON(v)
+	if err != nil {
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	_, _ = w.Write(b)
+}
+
+// EncodeJSON renders v as indented JSON.
+func EncodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // PromFloat renders a float in Prometheus text format (+Inf for an

@@ -175,7 +175,8 @@ func (s *Server) Handler() http.Handler { return s.inner.Handler() }
 // Limit returns the currently installed concurrency bound n*.
 func (s *Server) Limit() float64 { return s.inner.Limit() }
 
-// Close stops the measurement loop.
+// Close stops the measurement loop and severs any link connections
+// proxies hold to this server (see internal/link).
 func (s *Server) Close() { s.inner.Close() }
 
 // BeginDrain marks the server as draining: /healthz answers 503 and the
@@ -249,7 +250,13 @@ func Serve(ctx context.Context, cfg ServerConfig) error {
 		// connections closed.
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout-announce)
 		defer cancel()
-		return hs.Shutdown(shutdownCtx)
+		if err := hs.Shutdown(shutdownCtx); err != nil {
+			return err
+		}
+		// Shutdown does not know the proxies' link connections (they are
+		// hijacked): give their in-flight transactions what is left of the
+		// drain, then close them.
+		return s.inner.DrainLinks(shutdownCtx)
 	case err := <-errc:
 		return err
 	}

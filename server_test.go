@@ -7,10 +7,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
 	"github.com/tpctl/loadctl"
+	"github.com/tpctl/loadctl/internal/link"
 )
 
 // TestPublicServerAPI exercises the exported front-end surface: build a
@@ -206,5 +208,108 @@ func TestServeGracefulDrain(t *testing.T) {
 		}
 	case <-time.After(8 * time.Second):
 		t.Fatal("Serve did not return after drain")
+	}
+}
+
+// TestServeDrainsLinkTransactions is TestServeGracefulDrain for the
+// proxy's wire: link connections are hijacked, so http.Server.Shutdown
+// neither waits for nor closes them. Serve must itself let the link
+// transaction in flight at the cancellation finish and answer, close the
+// idle connections, and still return nil.
+func TestServeDrainsLinkTransactions(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	const items = 1 << 20 // one transaction over every item runs for a good while
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() {
+		served <- loadctl.Serve(ctx, loadctl.ServerConfig{
+			Addr:         addr,
+			Controller:   loadctl.NewStatic(8),
+			Items:        items,
+			DrainTimeout: 20 * time.Second,
+		})
+	}()
+	base := "http://" + addr
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if resp, err := http.Get(base + "/healthz"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never came up")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	tr := link.NewTransport()
+	defer tr.CloseIdleConnections()
+	post := func(query string) (int, error) {
+		req, err := http.NewRequest(http.MethodPost, base+"/txn?"+query, nil)
+		if err != nil {
+			return 0, err
+		}
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, nil
+	}
+	long := make(chan int, 1)
+	go func() {
+		code, err := post("shape=update&k=" + strconv.Itoa(items))
+		if err != nil {
+			code = -1
+		}
+		long <- code
+	}()
+	state := func() (active, linkConns int) {
+		var snap struct {
+			Active    int `json:"active"`
+			LinkConns int `json:"link_conns"`
+		}
+		resp, err := http.Get(base + "/metrics?format=json")
+		if err != nil {
+			return -1, -1
+		}
+		defer resp.Body.Close()
+		_ = json.NewDecoder(resp.Body).Decode(&snap)
+		return snap.Active, snap.LinkConns
+	}
+	for { // until one transaction is in flight, on one link connection
+		active, conns := state()
+		if active == 1 && conns == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the long link transaction never showed as active (%d active, %d link connections)", active, conns)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// A second connection, idle by the time of the cancellation: the
+	// drain has one of each kind to deal with.
+	if code, err := post("shape=query&k=1"); err != nil || code != http.StatusOK {
+		t.Fatalf("second link connection: %d, %v", code, err)
+	}
+	cancel()
+
+	if code := <-long; code != http.StatusOK {
+		t.Fatalf("link transaction in flight across the drain answered %d, want 200", code)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve returned %v after a clean drain, want nil", err)
+		}
+	case <-time.After(25 * time.Second):
+		t.Fatal("Serve did not return after the link drain")
 	}
 }
