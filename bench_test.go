@@ -21,6 +21,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"github.com/tpctl/loadctl/internal/db"
 	"github.com/tpctl/loadctl/internal/estimate"
@@ -172,17 +173,21 @@ func BenchmarkMicro_RLSUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_LiveGate measures an uncontended Acquire/Release pair on
-// the goroutine gate.
-func BenchmarkMicro_LiveGate(b *testing.B) {
-	l := gate.NewLive(math.Inf(1))
+// BenchmarkMicro_AdaptiveGate measures one uncontended unit of work
+// through the public live gate: Acquire, Observe, Release. CI pins it at
+// 0 allocs/op.
+func BenchmarkMicro_AdaptiveGate(b *testing.B) {
+	g := NewAdaptiveGate(AdaptiveGateConfig{Controller: NoControl(), Interval: time.Hour})
+	defer g.Close()
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.Acquire(ctx); err != nil {
+		if err := g.Acquire(ctx); err != nil {
 			b.Fatal(err)
 		}
-		l.Release()
+		g.Observe(true)
+		g.Release()
 	}
 }
 

@@ -47,6 +47,8 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// reportsAllocs tells a measured 0 allocs/op from no measurement.
+	reportsAllocs bool
 }
 
 func main() {
@@ -90,6 +92,7 @@ func main() {
 				r.BytesPerOp = v
 			case "allocs/op":
 				r.AllocsPerOp = v
+				r.reportsAllocs = true
 			}
 		}
 		results = append(results, r)
@@ -115,8 +118,8 @@ func main() {
 			if *match != "" && !strings.Contains(r.Name, *match) {
 				continue
 			}
-			if r.AllocsPerOp == 0 && r.BytesPerOp == 0 {
-				continue // benchmark did not report allocations
+			if !r.reportsAllocs {
+				continue
 			}
 			gated++
 			if r.AllocsPerOp > *maxAllocs {

@@ -2,6 +2,8 @@ package cc
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"github.com/tpctl/loadctl/internal/db"
 )
@@ -140,7 +142,7 @@ func (p *TwoPL) compatible(e *lockEntry, id TxnID, mode lockMode) bool {
 	if mode == writeLock {
 		return false
 	}
-	// read: compatible iff nobody holds write
+	// read: compatible iff nobody holds write (order-free)
 	for _, m := range e.holders {
 		if m == writeLock {
 			return false
@@ -165,7 +167,9 @@ func (p *TwoPL) writerQueuedAhead(e *lockEntry, id TxnID) bool {
 func (p *TwoPL) block(id TxnID, t *plTxn, e *lockEntry, item db.Item, mode lockMode) AccessResult {
 	p.stats.Conflicts++
 	// Build the wait set: current holders with conflicting modes plus all
-	// queued requests ahead (FIFO means we wait on them too).
+	// queued requests ahead (FIFO means we wait on them too). The set, and
+	// the die/cycle verdicts computed from it below, do not depend on map
+	// iteration order.
 	waits := make(map[TxnID]struct{})
 	for h, m := range e.holders {
 		if h == id {
@@ -205,7 +209,8 @@ func (p *TwoPL) block(id TxnID, t *plTxn, e *lockEntry, item db.Item, mode lockM
 }
 
 // cycleFrom reports whether the waits-for graph contains a cycle reachable
-// from start (DFS).
+// from start (DFS). Map order only changes which path is explored first,
+// never the verdict.
 func (p *TwoPL) cycleFrom(start TxnID) bool {
 	seen := make(map[TxnID]bool)
 	var dfs func(TxnID) bool
@@ -277,10 +282,13 @@ func (p *TwoPL) Abort(id TxnID) []TxnID {
 }
 
 // releaseAll frees every lock id holds and grants queued compatible
-// requests in FIFO order across the affected items.
+// requests in FIFO order across the affected items. Items are visited in
+// ascending order: the unblocked list is the order in which the engine
+// resumes transactions, so map order would make a seeded run
+// irreproducible.
 func (p *TwoPL) releaseAll(id TxnID, t *plTxn) []TxnID {
 	var unblocked []TxnID
-	for item := range t.held {
+	for _, item := range slices.Sorted(maps.Keys(t.held)) {
 		e := p.entry(item)
 		delete(e.holders, id)
 		unblocked = append(unblocked, p.grantQueued(item, e)...)
@@ -305,6 +313,7 @@ func (p *TwoPL) grantQueued(item db.Item, e *lockEntry) []TxnID {
 		} else if len(e.holders) == 0 {
 			canGrant = true
 		} else if r.mode == readLock {
+			// read: grantable iff nobody holds write (order-free)
 			canGrant = true
 			for _, m := range e.holders {
 				if m == writeLock {

@@ -19,6 +19,7 @@ import (
 	"github.com/tpctl/loadctl/internal/core"
 	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/plot"
+	"github.com/tpctl/loadctl/internal/telemetry"
 	"github.com/tpctl/loadctl/internal/tpsim"
 	"github.com/tpctl/loadctl/internal/workload"
 )
@@ -237,7 +238,7 @@ func meanTail(s metrics.Series, frac float64) float64 {
 		return 0
 	}
 	start := int(float64(n) * (1 - frac))
-	var w metrics.Welford
+	var w telemetry.Welford
 	for _, p := range s.Points[start:] {
 		w.Add(p.V)
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/plot"
 	"github.com/tpctl/loadctl/internal/sim"
+	"github.com/tpctl/loadctl/internal/telemetry"
 	"github.com/tpctl/loadctl/internal/workload"
 )
 
@@ -239,7 +240,7 @@ func Fig06(o Options) (*Outcome, error) {
 }
 
 func windowMean(s metrics.Series, from, to float64) float64 {
-	var w metrics.Welford
+	var w telemetry.Welford
 	for _, p := range s.Points {
 		if p.T >= from && p.T <= to {
 			w.Add(p.V)

@@ -8,9 +8,10 @@
 // found pure admission control responsive enough and smoother).
 //
 // Two implementations share the policy: Gate is the single-threaded variant
-// driven by the discrete-event simulator, and Live (live.go) is a
-// goroutine-safe semaphore with a dynamically adjustable limit for real Go
-// programs.
+// driven by the discrete-event simulator, and Multi (multi.go) is the
+// goroutine-safe gate with dynamically adjustable limits that serves
+// everything live — loadctld's per-class admission and, as a one-class
+// Multi, the public loadctl.AdaptiveGate.
 package gate
 
 import (

@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// Multi is the multi-class successor of Live: per-class admission gates
-// drawing from one shared capacity pool. Heiss & Wagner define load
+// Multi is the live admission gate: per-class admission gates drawing
+// from one shared capacity pool. Heiss & Wagner define load
 // control over transaction *classes* — the optimal multiprogramming level
 // depends on the mix competing for data — so the gate tracks, per class,
 // its own active count, FCFS queue and counters, while capacity is
@@ -27,11 +27,12 @@ import (
 //     while high-priority classes keep their weighted share.
 //
 //   - Per-class mode: every class has an independent limit and admits
-//     exactly like its own Live gate; the pool is Σ limits. This is the
-//     shape used when a separate adaptive controller steers each class.
+//     exactly like its own one-class gate; the pool is Σ limits. This is
+//     the shape used when a separate adaptive controller steers each class.
 //
-// Class identity is an index returned by ClassIndex; the zero value of a
-// one-class Multi behaves exactly like Live.
+// Class identity is an index returned by ClassIndex. A one-class Multi in
+// pool mode is the plain §4.3 gate — FCFS below one adjustable limit — and
+// is what loadctl.AdaptiveGate runs on.
 type Multi struct {
 	mu       sync.Mutex
 	classes  []*classGate
@@ -195,8 +196,8 @@ func (m *Multi) Acquire(ctx context.Context, class int) error {
 		case <-ch:
 			// Admitted concurrently with cancellation: hand the slot back
 			// and reclassify as a timeout so Admitted only counts
-			// admissions the caller observed — the same identity Live
-			// keeps: Arrivals == Admitted + Rejected + Timeouts + queued.
+			// admissions the caller observed, keeping the identity
+			// Arrivals == Admitted + Rejected + Timeouts + queued.
 			c.active--
 			m.active--
 			c.admitted--
@@ -475,8 +476,8 @@ func (m *Multi) Queued() int {
 	return n
 }
 
-// ClassStats is one class's snapshot. The Live identity holds per class:
-// Arrivals == Admitted + Rejected + Timeouts + Queued at quiescence.
+// ClassStats is one class's snapshot. The admission identity holds per
+// class: Arrivals == Admitted + Rejected + Timeouts + Queued.
 type ClassStats struct {
 	Name     string  `json:"name"`
 	Weight   float64 `json:"weight"`
@@ -528,8 +529,26 @@ func (m *Multi) Stats() MultiStats {
 	return st
 }
 
-// AggregateStats folds the per-class counters into a LiveStats-shaped
-// total, so single-gate dashboards keep working against a Multi.
+// LiveStats is a live gate's admission counters summed over its classes
+// (AggregateStats). Arrivals counts every admission attempt (blocking or
+// not); Admitted the successful ones (only those the caller observed as
+// admitted — a slot granted concurrently with context cancellation is
+// handed back and counted as a timeout instead); Rejected the TryAcquire
+// calls turned away (the non-blocking shed path, distinct from queued
+// admits); Timeouts the Acquire calls abandoned by context cancellation;
+// QueueMax the largest single-class queue seen. At quiescence the counters
+// reconcile exactly: Arrivals == Admitted + Rejected + Timeouts + queued
+// waiters.
+type LiveStats struct {
+	Arrivals uint64
+	Admitted uint64
+	Rejected uint64
+	Timeouts uint64
+	QueueMax int
+}
+
+// AggregateStats folds the per-class counters into one LiveStats total,
+// so single-gate dashboards keep working against a Multi.
 func (m *Multi) AggregateStats() LiveStats {
 	st := m.Stats()
 	var out LiveStats

@@ -45,8 +45,14 @@ func TestMultiValidation(t *testing.T) {
 	}
 }
 
+// oneClass is the live gate loadctl.AdaptiveGate runs on: a one-class
+// Multi in pool mode, its class at index 0.
+func oneClass(t *testing.T, limit float64) *Multi {
+	return mustMulti(t, []ClassSpec{{Name: "default"}}, limit)
+}
+
 func TestMultiSingleClassBehavesLikeLive(t *testing.T) {
-	m := mustMulti(t, []ClassSpec{{Name: "default"}}, 2)
+	m := oneClass(t, 2)
 	ci, ok := m.ClassIndex("default")
 	if !ok {
 		t.Fatal("ClassIndex(default) not found")
@@ -188,6 +194,8 @@ func TestMultiPerClassModeIndependentLimits(t *testing.T) {
 	}
 }
 
+// A waiter timed out behind another class leaves the queue and counts
+// one timeout; TestLiveContextCancel is the same behind its own class.
 func TestMultiAcquireTimeoutKeepsIdentity(t *testing.T) {
 	m := twoClass(t, 1)
 	inter, _ := m.ClassIndex("interactive")
@@ -200,12 +208,17 @@ func TestMultiAcquireTimeoutKeepsIdentity(t *testing.T) {
 	if err := m.Acquire(ctx, batch); err == nil {
 		t.Fatal("Acquire should have timed out")
 	}
+	if q := m.Queued(); q != 0 {
+		t.Fatalf("cancelled waiter still queued: %d", q)
+	}
 	m.Release(inter)
-	st := m.Stats()
-	for _, c := range st.Classes {
+	for _, c := range m.Stats().Classes {
 		if c.Arrivals != c.Admitted+c.Rejected+c.Timeouts+uint64(c.Queued) {
 			t.Fatalf("class %s identity violated: %+v", c.Name, c)
 		}
+	}
+	if got := m.AggregateStats().Timeouts; got != 1 {
+		t.Fatalf("timeouts = %d, want 1", got)
 	}
 }
 
@@ -436,7 +449,7 @@ func TestMultiReconfigureRaceIdentity(t *testing.T) {
 		m.SetPoolLimit(1e9)
 	}()
 
-	// Live identity checker: Stats() is a consistent snapshot, so the
+	// Mid-flight identity checker: Stats() is a consistent snapshot, so the
 	// identity must hold mid-flight, queues and all.
 	wg.Add(1)
 	go func() {
@@ -472,6 +485,389 @@ func TestMultiReconfigureRaceIdentity(t *testing.T) {
 		if c.Arrivals == 0 {
 			t.Fatalf("class %s saw no traffic — the test exercised nothing", c.Name)
 		}
+	}
+}
+
+// --- one-class Multi: the live gate --------------------------------------
+//
+// The §4.3 behaviours of a single adjustable limit, on the one-class Multi
+// that loadctl.AdaptiveGate runs. These tests keep the names they had when
+// they covered the deleted single-class Live gate.
+
+func TestLiveAcquireRelease(t *testing.T) {
+	m := oneClass(t, 2)
+	ctx := context.Background()
+	if err := m.Acquire(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if m.Active() != 2 {
+		t.Fatalf("active = %d, want 2", m.Active())
+	}
+	if m.TryAcquire(0) {
+		t.Fatal("TryAcquire should fail at the limit")
+	}
+	m.Release(0)
+	if !m.TryAcquire(0) {
+		t.Fatal("TryAcquire should succeed after release")
+	}
+	m.Release(0)
+	m.Release(0)
+	if m.Active() != 0 {
+		t.Fatalf("active = %d after releasing every slot", m.Active())
+	}
+}
+
+// Non-blocking admission failures are counted as rejections, and a
+// recovered slot does not rewrite them.
+func TestLiveRejectedCounter(t *testing.T) {
+	m := oneClass(t, 1)
+	if !m.TryAcquire(0) {
+		t.Fatal("first TryAcquire should succeed")
+	}
+	for i := 0; i < 3; i++ {
+		if m.TryAcquire(0) {
+			t.Fatal("TryAcquire above the limit should fail")
+		}
+	}
+	st := m.AggregateStats()
+	if st.Rejected != 3 {
+		t.Fatalf("Rejected = %d, want 3", st.Rejected)
+	}
+	if st.Admitted != 1 || st.Arrivals != 4 {
+		t.Fatalf("Admitted/Arrivals = %d/%d, want 1/4", st.Admitted, st.Arrivals)
+	}
+	m.Release(0)
+	if !m.TryAcquire(0) {
+		t.Fatal("TryAcquire after Release should succeed")
+	}
+	if got := m.AggregateStats().Rejected; got != 3 {
+		t.Fatalf("Rejected after recovery = %d, want 3", got)
+	}
+}
+
+func TestLiveContextCancel(t *testing.T) {
+	m := oneClass(t, 1)
+	if err := m.Acquire(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := m.Acquire(ctx, 0); err == nil {
+		t.Fatal("expected context error")
+	}
+	if q := m.Queued(); q != 0 {
+		t.Fatalf("cancelled waiter still queued: %d", q)
+	}
+	m.Release(0)
+	st := m.AggregateStats()
+	if st.Timeouts != 1 {
+		t.Fatalf("timeouts = %d, want 1", st.Timeouts)
+	}
+	if st.Arrivals != st.Admitted+st.Rejected+st.Timeouts {
+		t.Fatalf("identity violated: %+v", st)
+	}
+}
+
+func TestLiveBlocksAtLimit(t *testing.T) {
+	m := oneClass(t, 1)
+	ctx := context.Background()
+	if err := m.Acquire(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan error, 1)
+	go func() { entered <- m.Acquire(ctx, 0) }()
+	waitCond(t, func() bool { return m.Queued() == 1 })
+	select {
+	case <-entered:
+		t.Fatal("second acquire should have blocked")
+	case <-time.After(20 * time.Millisecond):
+	}
+	m.Release(0)
+	if err := <-entered; err != nil {
+		t.Fatalf("release did not admit the waiter: %v", err)
+	}
+	m.Release(0)
+}
+
+func TestLiveSetLimitWakesWaiters(t *testing.T) {
+	m := oneClass(t, 0)
+	var admitted atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 5; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if m.Acquire(context.Background(), 0) == nil {
+				admitted.Add(1)
+			}
+		}()
+	}
+	waitCond(t, func() bool { return m.Queued() == 5 })
+	m.SetPoolLimit(3)
+	waitCond(t, func() bool { return admitted.Load() == 3 })
+	if m.Active() != 3 || m.Queued() != 2 {
+		t.Fatalf("active=%d queued=%d, want 3/2", m.Active(), m.Queued())
+	}
+	m.SetPoolLimit(10)
+	wg.Wait()
+	if admitted.Load() != 5 {
+		t.Fatalf("admitted = %d, want 5", admitted.Load())
+	}
+}
+
+// Holders never outnumber the largest limit installed while SetPoolLimit
+// oscillates under 16 hammering goroutines.
+func TestLiveNeverExceedsLimit(t *testing.T) {
+	m := oneClass(t, 4)
+	var inside, maxSeen atomic.Int32
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if m.Acquire(context.Background(), 0) != nil {
+					return
+				}
+				v := inside.Add(1)
+				for {
+					old := maxSeen.Load()
+					if v <= old || maxSeen.CompareAndSwap(old, v) {
+						break
+					}
+				}
+				inside.Add(-1)
+				m.Release(0)
+			}
+		}()
+	}
+	limits := []float64{2, 4, 1, 3}
+	for i := 0; i < 100; i++ {
+		m.SetPoolLimit(limits[i%len(limits)])
+		time.Sleep(250 * time.Microsecond)
+	}
+	m.SetPoolLimit(4)
+	stop.Store(true)
+	wg.Wait()
+	if got := maxSeen.Load(); got > 4 {
+		t.Fatalf("max concurrent holders %d exceeded the largest limit 4", got)
+	}
+}
+
+func TestLiveReleaseUnderflowPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	oneClass(t, 1).Release(0)
+}
+
+func TestLiveInfiniteLimit(t *testing.T) {
+	m := oneClass(t, math.Inf(1))
+	for i := 0; i < 100; i++ {
+		if !m.TryAcquire(0) {
+			t.Fatal("infinite gate refused admission")
+		}
+	}
+	if !math.IsInf(m.Limit(), 1) {
+		t.Fatalf("limit = %v, want +Inf", m.Limit())
+	}
+}
+
+func TestLiveFCFS(t *testing.T) {
+	m := oneClass(t, 0)
+	var (
+		mu    sync.Mutex
+		order []int
+		wg    sync.WaitGroup
+	)
+	for i := 0; i < 5; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Stagger arrival so queue order is deterministic.
+			time.Sleep(time.Duration(i*10) * time.Millisecond)
+			if m.Acquire(context.Background(), 0) != nil {
+				return
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			m.Release(0)
+		}()
+	}
+	waitCond(t, func() bool { return m.Queued() == 5 })
+	m.SetPoolLimit(1) // one slot, handed on by each release
+	wg.Wait()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("admission order %v not FCFS", order)
+		}
+	}
+}
+
+// Waiters queued in a known order against a closed gate are admitted
+// strictly in that order while the limit opens step by step, and a shrink
+// in between neither admits nor reorders anyone.
+func TestLiveFCFSOrderUnderLimitChanges(t *testing.T) {
+	const n = 32
+	m := oneClass(t, 0)
+	var (
+		mu    sync.Mutex
+		order []int
+		wg    sync.WaitGroup
+	)
+	recorded := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order)
+	}
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := m.Acquire(context.Background(), 0); err != nil {
+				t.Errorf("waiter %d: %v", i, err)
+				return
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+		}()
+		// Waiter i queues before waiter i+1 arrives.
+		waitCond(t, func() bool { return m.Queued() == i+1 })
+	}
+	// One grant per SetPoolLimit keeps the recording order deterministic.
+	for i := 1; i <= n; i++ {
+		m.SetPoolLimit(float64(i))
+		waitCond(t, func() bool { return recorded() == i })
+		if i%5 == 0 {
+			// Nobody releases, so a limit below the active count must
+			// leave the queue untouched.
+			m.SetPoolLimit(float64(i - 3))
+			time.Sleep(time.Millisecond)
+			if got := recorded(); got != i {
+				t.Fatalf("shrink admitted extra waiters: %d recorded, want %d", got, i)
+			}
+		}
+	}
+	wg.Wait()
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("admission order %v violates FCFS at position %d", order, i)
+		}
+	}
+}
+
+// Lowering the limit below the active count admits nobody until enough
+// releases drain the gate under the new limit.
+func TestLiveShrinkBelowActive(t *testing.T) {
+	m := oneClass(t, 4)
+	for i := 0; i < 4; i++ {
+		if !m.TryAcquire(0) {
+			t.Fatalf("setup acquire %d failed", i)
+		}
+	}
+	m.SetPoolLimit(2)
+	waitErr := make(chan error, 1)
+	go func() { waitErr <- m.Acquire(context.Background(), 0) }()
+	waitCond(t, func() bool { return m.Queued() == 1 })
+	m.Release(0) // active 3, still above limit 2
+	m.Release(0) // active 2, at the limit
+	select {
+	case <-waitErr:
+		t.Fatal("waiter admitted while active was not below the shrunken limit")
+	case <-time.After(10 * time.Millisecond):
+	}
+	m.Release(0) // active 1 < 2: now the waiter fits
+	if err := <-waitErr; err != nil {
+		t.Fatalf("waiter failed: %v", err)
+	}
+}
+
+func TestLiveAcquireCancelVsSetLimit(t *testing.T) {
+	hammerCancelVsLimit(t, 4, 0, 50*time.Microsecond)
+}
+
+// Mixing in TryAcquire makes Rejected part of the identity as well.
+func TestLiveCancelAdmitCounterIdentity(t *testing.T) {
+	hammerCancelVsLimit(t, 3, 7, 40*time.Microsecond)
+}
+
+// hammerCancelVsLimit races SetPoolLimit wake-ups (limits cycling through
+// 0..levels-1) against 16 workers whose Acquires carry nearly expired
+// deadlines below maxWait; every tryEvery-th call (0 = none) is a
+// TryAcquire instead. After draining at +Inf, the gate must hold no slot
+// and no waiter, and each counter must equal what the callers observed: a
+// slot granted concurrently with cancellation is handed back and counted
+// as a timeout, never as an admission. Run with -race.
+func hammerCancelVsLimit(t *testing.T, levels, tryEvery int, maxWait time.Duration) {
+	m := oneClass(t, 0)
+	var (
+		wg                          sync.WaitGroup
+		gotSlot, gaveUp, tryOK, rej atomic.Int64
+		stop                        atomic.Bool
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			m.SetPoolLimit(float64(i % levels))
+		}
+		m.SetPoolLimit(math.Inf(1)) // drain everyone still queued
+	}()
+	const workers, iters = 16, 250
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if tryEvery > 0 && i%tryEvery == 0 {
+					if m.TryAcquire(0) {
+						tryOK.Add(1)
+						m.Release(0)
+					} else {
+						rej.Add(1)
+					}
+					continue
+				}
+				d := time.Duration(w+i) * time.Microsecond % maxWait
+				ctx, cancel := context.WithTimeout(context.Background(), d)
+				err := m.Acquire(ctx, 0)
+				cancel()
+				if err == nil {
+					gotSlot.Add(1)
+					m.Release(0)
+				} else {
+					gaveUp.Add(1)
+				}
+			}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond)
+	stop.Store(true)
+	wg.Wait()
+
+	if a, q := m.Active(), m.Queued(); a != 0 || q != 0 {
+		t.Fatalf("leaked state: active=%d queued=%d", a, q)
+	}
+	st := m.AggregateStats()
+	if want := uint64(gotSlot.Load() + tryOK.Load()); st.Admitted != want {
+		t.Fatalf("Admitted = %d, but callers observed %d successful acquires", st.Admitted, want)
+	}
+	if st.Timeouts != uint64(gaveUp.Load()) {
+		t.Fatalf("Timeouts = %d, but callers observed %d abandoned acquires", st.Timeouts, gaveUp.Load())
+	}
+	if st.Rejected != uint64(rej.Load()) {
+		t.Fatalf("Rejected = %d, but callers observed %d refusals", st.Rejected, rej.Load())
+	}
+	if st.Arrivals != workers*iters || st.Arrivals != st.Admitted+st.Rejected+st.Timeouts {
+		t.Fatalf("identity broken: %+v for %d calls", st, workers*iters)
 	}
 }
 

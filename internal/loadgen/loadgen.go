@@ -28,9 +28,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/reqtrace"
 	"github.com/tpctl/loadctl/internal/sim"
+	"github.com/tpctl/loadctl/internal/telemetry"
 	"github.com/tpctl/loadctl/internal/workload"
 )
 
@@ -193,10 +193,10 @@ type collector struct {
 	queries, updates                                         atomic.Uint64
 
 	mu      sync.Mutex
-	lat     metrics.Welford // corrected: from the intended send slot
-	rawLat  metrics.Welford // raw: from the actual send
-	hist    *metrics.Histogram
-	rawHist *metrics.Histogram
+	lat     telemetry.Welford // corrected: from the intended send slot
+	rawLat  telemetry.Welford // raw: from the actual send
+	hist    *telemetry.FixedHistogram
+	rawHist *telemetry.FixedHistogram
 }
 
 func newCollector(timeout time.Duration) *collector {
@@ -212,8 +212,8 @@ func newCollector(timeout time.Duration) *collector {
 		buckets = 1
 	}
 	return &collector{
-		hist:    metrics.NewHistogram(0, span, buckets),
-		rawHist: metrics.NewHistogram(0, span, buckets),
+		hist:    telemetry.NewFixedHistogram(0, span, buckets),
+		rawHist: telemetry.NewFixedHistogram(0, span, buckets),
 	}
 }
 

@@ -1,11 +1,9 @@
-// Package metrics is the simulation-facing measurement façade: the
-// streaming accumulators themselves (Welford, TimeWeighted, the fixed-
-// width histogram) live in internal/telemetry — the repository's single
-// shared "sense" layer — and are re-exported here under their historical
-// names, alongside the machinery only the simulator and experiment
-// harness need: time series containers and the measurement-length rule of
-// §5 (estimate throughput to a target accuracy at a confidence level,
-// after Heiss 1988).
+// Package metrics holds the measurement machinery only the simulator and
+// experiment harness need: time series containers and the
+// measurement-length rule of §5 (estimate throughput to a target accuracy
+// at a confidence level, after Heiss 1988). The streaming accumulators
+// (Welford, TimeWeighted, FixedHistogram) live in internal/telemetry, the
+// repository's single shared "sense" layer.
 package metrics
 
 import (
@@ -14,22 +12,6 @@ import (
 
 	"github.com/tpctl/loadctl/internal/telemetry"
 )
-
-// Welford accumulates streaming mean and variance without storing samples.
-type Welford = telemetry.Welford
-
-// TimeWeighted tracks the time average of a piecewise-constant signal,
-// such as the active concurrency level n(t).
-type TimeWeighted = telemetry.TimeWeighted
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); out-of-range
-// observations clamp into the edge buckets.
-type Histogram = telemetry.FixedHistogram
-
-// NewHistogram returns a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	return telemetry.NewFixedHistogram(lo, hi, n)
-}
 
 // Point is one (time, value) observation.
 type Point struct {
@@ -61,7 +43,7 @@ func (s *Series) Values() []float64 {
 // MeanAfter returns the mean of values with T >= t0 (steady-state mean
 // after discarding warm-up).
 func (s *Series) MeanAfter(t0 float64) float64 {
-	var w Welford
+	var w telemetry.Welford
 	for _, p := range s.Points {
 		if p.T >= t0 {
 			w.Add(p.V)

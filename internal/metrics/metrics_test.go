@@ -4,10 +4,12 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 func TestWelfordBasic(t *testing.T) {
-	var w Welford
+	var w telemetry.Welford
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
@@ -24,7 +26,7 @@ func TestWelfordBasic(t *testing.T) {
 }
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
+	var w telemetry.Welford
 	if w.Mean() != 0 || w.Var() != 0 {
 		t.Fatal("empty accumulator should be zero")
 	}
@@ -43,7 +45,7 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 		if len(raw) < 2 {
 			return true
 		}
-		var w Welford
+		var w telemetry.Welford
 		var sum float64
 		for _, r := range raw {
 			w.Add(float64(r))
@@ -64,7 +66,7 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 }
 
 func TestTimeWeightedMean(t *testing.T) {
-	var tw TimeWeighted
+	var tw telemetry.TimeWeighted
 	tw.Set(0, 2)  // 2 for [0,4)
 	tw.Set(4, 10) // 10 for [4,6)
 	got := tw.Mean(6)
@@ -78,7 +80,7 @@ func TestTimeWeightedMean(t *testing.T) {
 }
 
 func TestTimeWeightedResetAt(t *testing.T) {
-	var tw TimeWeighted
+	var tw telemetry.TimeWeighted
 	tw.Set(0, 100)
 	tw.Set(10, 4)
 	tw.ResetAt(10)
@@ -96,7 +98,7 @@ func TestTimeWeightedBackwardsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	var tw TimeWeighted
+	var tw telemetry.TimeWeighted
 	tw.Set(5, 1)
 	tw.Set(4, 2)
 }
@@ -139,7 +141,7 @@ func TestSeriesQuantile(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
+	h := telemetry.NewFixedHistogram(0, 10, 10)
 	for i := 0; i < 100; i++ {
 		h.Add(float64(i%10) + 0.5)
 	}
@@ -158,7 +160,7 @@ func TestHistogram(t *testing.T) {
 }
 
 func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
+	h := telemetry.NewFixedHistogram(0, 1, 4)
 	h.Add(-5)
 	h.Add(99)
 	if h.Buckets[0] != 1 || h.Buckets[3] != 1 {
@@ -172,7 +174,7 @@ func TestHistogramValidation(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewHistogram(1, 1, 4)
+	telemetry.NewFixedHistogram(1, 1, 4)
 }
 
 func TestAutocorr1(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/sim"
 	"github.com/tpctl/loadctl/internal/station"
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 // txnState is the lifecycle position of one circulating transaction.
@@ -78,7 +79,7 @@ type System struct {
 	activeOrder []*txn // admission order, newest last (displacement victims)
 
 	// Measurement accumulators (reset each interval).
-	loadAvg      metrics.TimeWeighted
+	loadAvg      telemetry.TimeWeighted
 	intCommits   uint64
 	intAborts    uint64
 	intConflicts uint64

@@ -8,6 +8,7 @@ import (
 	"github.com/tpctl/loadctl/internal/core"
 	"github.com/tpctl/loadctl/internal/gate"
 	"github.com/tpctl/loadctl/internal/metrics"
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 // Result collects everything a run produced: per-interval series (including
@@ -27,11 +28,11 @@ type Result struct {
 	// Post-warm-up aggregates.
 	Commits       uint64
 	Aborts        uint64
-	RespStats     metrics.Welford // response time of committed txns
-	GateWaitStats metrics.Welford // admission delay of committed txns
-	AttemptsStats metrics.Welford // attempts needed per commit
-	WastedCPU     float64         // CPU seconds burned by aborted attempts
-	UsefulCPU     float64         // CPU seconds of committed attempts
+	RespStats     telemetry.Welford // response time of committed txns
+	GateWaitStats telemetry.Welford // admission delay of committed txns
+	AttemptsStats telemetry.Welford // attempts needed per commit
+	WastedCPU     float64           // CPU seconds burned by aborted attempts
+	UsefulCPU     float64           // CPU seconds of committed attempts
 
 	displacements uint64
 

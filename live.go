@@ -5,7 +5,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tpctl/loadctl/internal/ctl"
 	"github.com/tpctl/loadctl/internal/gate"
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 // AdaptiveGateConfig configures a live adaptive admission gate.
@@ -25,23 +27,19 @@ type AdaptiveGateConfig struct {
 // transactions. Acquire blocks while the active count is at the limit;
 // Observe reports completions; a background loop periodically feeds the
 // measured (load, throughput) pair to the Controller and installs the new
-// limit.
+// limit. It is the stack loadctld runs, cut to one class: a one-class
+// gate.Multi, sensed through telemetry.CloseInterval, driven by a
+// ctl.Loop.
 type AdaptiveGate struct {
-	cfg  AdaptiveGateConfig
-	gate *gate.Live
-	now  func() time.Time
-
-	mu        sync.Mutex
-	active    int
-	lastT     time.Time
-	lastTick  time.Time // previous interval boundary (for the true Δt)
-	area      float64   // ∫ active dt within the current interval
-	successes uint64
-	failures  uint64
-
+	cfg   AdaptiveGateConfig
+	gate  *gate.Multi
+	loop  *ctl.Loop
 	start time.Time
-	stop  chan struct{}
-	done  chan struct{}
+
+	mu       sync.Mutex
+	acc      telemetry.Accum // totals since start
+	prev     telemetry.Accum // totals at the previous interval boundary
+	lastTick time.Time
 }
 
 // NewAdaptiveGate starts the measurement loop and returns the gate. Close
@@ -56,42 +54,38 @@ func NewAdaptiveGate(cfg AdaptiveGateConfig) *AdaptiveGate {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	g := &AdaptiveGate{
-		cfg:  cfg,
-		gate: gate.NewLive(cfg.Controller.Bound()),
-		now:  cfg.Now,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+	m, err := gate.NewMulti([]gate.ClassSpec{{Name: "default"}}, cfg.Controller.Bound())
+	if err != nil {
+		panic(err)
 	}
-	g.start = g.now()
-	g.lastT = g.start
+	g := &AdaptiveGate{cfg: cfg, gate: m, start: cfg.Now()}
 	g.lastTick = g.start
-	go g.loop()
+	g.loop = ctl.Start(ctl.Config{Interval: cfg.Interval, Tick: g.tick})
 	return g
 }
 
 // Acquire blocks until a slot is free or ctx is done (FCFS).
 func (g *AdaptiveGate) Acquire(ctx context.Context) error {
-	if err := g.gate.Acquire(ctx); err != nil {
+	if err := g.gate.Acquire(ctx, 0); err != nil {
 		return err
 	}
-	g.note(+1)
+	g.note(true)
 	return nil
 }
 
 // TryAcquire takes a slot without blocking; it reports success.
 func (g *AdaptiveGate) TryAcquire() bool {
-	if !g.gate.TryAcquire() {
+	if !g.gate.TryAcquire(0) {
 		return false
 	}
-	g.note(+1)
+	g.note(true)
 	return true
 }
 
 // Release frees a slot taken by Acquire/TryAcquire.
 func (g *AdaptiveGate) Release() {
-	g.gate.Release()
-	g.note(-1)
+	g.gate.Release(0)
+	g.note(false)
 }
 
 // Observe reports the outcome of one unit of work: success feeds the
@@ -100,9 +94,9 @@ func (g *AdaptiveGate) Release() {
 func (g *AdaptiveGate) Observe(success bool) {
 	g.mu.Lock()
 	if success {
-		g.successes++
+		g.acc.Commits++
 	} else {
-		g.failures++
+		g.acc.Aborts++
 	}
 	g.mu.Unlock()
 }
@@ -122,72 +116,45 @@ func (g *AdaptiveGate) Queued() int { return g.gate.Queued() }
 type GateStats = gate.LiveStats
 
 // Stats returns a snapshot of the gate's admission counters.
-func (g *AdaptiveGate) Stats() GateStats { return g.gate.Stats() }
+func (g *AdaptiveGate) Stats() GateStats { return g.gate.AggregateStats() }
 
 // Close stops the measurement loop. The gate itself remains usable with
 // its last limit.
-func (g *AdaptiveGate) Close() {
-	close(g.stop)
-	<-g.done
-}
+func (g *AdaptiveGate) Close() { g.loop.Close() }
 
-// note integrates the active count over time.
-func (g *AdaptiveGate) note(delta int) {
-	now := g.now()
+// note stamps one admission (enter) or release into the load integrator's
+// entry/exit totals. The clock is read under mu so no stamp recorded
+// before a tick can postdate that tick's interval end.
+func (g *AdaptiveGate) note(enter bool) {
 	g.mu.Lock()
-	g.area += float64(g.active) * now.Sub(g.lastT).Seconds()
-	g.lastT = now
-	g.active += delta
-	g.mu.Unlock()
-}
-
-// loop closes measurement intervals and drives the controller.
-func (g *AdaptiveGate) loop() {
-	defer close(g.done)
-	ticker := time.NewTicker(g.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-ticker.C:
-			g.tick()
-		}
-	}
-}
-
-func (g *AdaptiveGate) tick() {
-	now := g.now()
-	g.mu.Lock()
-	g.area += float64(g.active) * now.Sub(g.lastT).Seconds()
-	g.lastT = now
-	// Divide by the actually elapsed window, not the configured interval:
-	// a ticker firing late under CPU saturation would otherwise inflate
-	// load and throughput exactly when accurate samples matter most.
-	dt := now.Sub(g.lastTick).Seconds()
-	g.lastTick = now
-	if dt <= 0 {
-		dt = g.cfg.Interval.Seconds()
-	}
-	load := g.area / dt
-	succ := g.successes
-	fail := g.failures
-	g.area = 0
-	g.successes = 0
-	g.failures = 0
-	g.mu.Unlock()
-
-	sample := Sample{
-		Time:        now.Sub(g.start).Seconds(),
-		Load:        load,
-		Throughput:  float64(succ) / dt,
-		Perf:        float64(succ) / dt,
-		Completions: succ,
-	}
-	if succ > 0 {
-		sample.ConflictRate = float64(fail) / float64(succ)
+	ns := uint64(g.cfg.Now().Sub(g.start))
+	if enter {
+		g.acc.Entries++
+		g.acc.EntryNanos += ns
 	} else {
-		sample.ConflictRate = float64(fail)
+		g.acc.Exits++
+		g.acc.ExitNanos += ns
 	}
-	g.gate.SetLimit(g.cfg.Controller.Update(sample))
+	g.mu.Unlock()
+}
+
+// tick closes one interval over the actually elapsed window and installs
+// the controller's answer. It reads the configured clock, not the loop's,
+// so AdaptiveGateConfig.Now drives the window.
+func (g *AdaptiveGate) tick(time.Time) []ctl.Decision {
+	g.mu.Lock()
+	now := g.cfg.Now()
+	cur, prev := g.acc, g.prev
+	g.prev = cur
+	dt := now.Sub(g.lastTick)
+	g.lastTick = now
+	g.mu.Unlock()
+	if dt <= 0 {
+		dt = g.cfg.Interval
+	}
+	since := now.Sub(g.start)
+	_, sample := telemetry.CloseInterval(since.Seconds(), cur, prev, int64(since), int64(dt))
+	limit := g.cfg.Controller.Update(sample)
+	g.gate.SetPoolLimit(limit)
+	return []ctl.Decision{{Scope: "pool", Controller: g.cfg.Controller.Name(), Sample: sample, Limit: limit}}
 }

@@ -220,3 +220,102 @@ func (r *recordingController) Update(s Sample) float64 {
 }
 func (r *recordingController) Bound() float64 { return r.bound }
 func (r *recordingController) Name() string   { return "recording" }
+
+// An interval in which every attempt failed hands the controller the
+// documented aborts-per-attempt fallback of exactly 1, not the raw abort
+// count, and the idle intervals after it hand it 0. Checking every sample
+// keeps the test exact even if a tick splits the failures.
+func TestAdaptiveGateConflictRateAllFailed(t *testing.T) {
+	rec := &recordingController{bound: 8}
+	g := NewAdaptiveGate(AdaptiveGateConfig{Controller: rec, Interval: 2 * time.Millisecond})
+	defer g.Close()
+	for i := 0; i < 5; i++ {
+		g.Observe(false)
+	}
+	failed := -1
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rec.mu.Lock()
+		samples := append([]Sample(nil), rec.samples...)
+		rec.mu.Unlock()
+		for i, s := range samples {
+			if s.ConflictRate != 0 && s.ConflictRate != 1 {
+				t.Fatalf("interval %d: conflict rate = %v with no successes, want 0 or 1", i, s.ConflictRate)
+			}
+			if s.ConflictRate == 1 {
+				failed = i
+			}
+		}
+		if failed >= 0 && len(samples) > failed+2 {
+			if idle := samples[len(samples)-1]; idle.ConflictRate != 0 || idle.Completions != 0 {
+				t.Fatalf("idle interval: %+v, want zero conflict rate and completions", idle)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no failing interval followed by idle ones in %d samples", len(samples))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// The public gate under concurrent use while a 1 ms loop swings the limit
+// between 0 and 3: at quiescence every arrival is accounted for and no
+// slot or waiter leaks. Run with -race.
+func TestAdaptiveGateRaceIdentity(t *testing.T) {
+	osc := &oscillatingController{}
+	g := NewAdaptiveGate(AdaptiveGateConfig{Controller: osc, Interval: time.Millisecond})
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				if i%4 == 0 {
+					if g.TryAcquire() {
+						g.Observe(true)
+						g.Release()
+					}
+					continue
+				}
+				d := time.Duration(w+i) * time.Microsecond % (200 * time.Microsecond)
+				ctx, cancel := context.WithTimeout(context.Background(), d)
+				err := g.Acquire(ctx)
+				cancel()
+				if err == nil {
+					g.Observe(i%3 != 0)
+					g.Release()
+				}
+			}
+		}()
+	}
+	// Let the loop swing the limit through several full cycles under load.
+	deadline := time.Now().Add(10 * time.Second)
+	for osc.updates.Load() < 20 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+	g.Close()
+
+	if n := osc.updates.Load(); n < 20 {
+		t.Fatalf("controller updated %d times in 10s, want 20", n)
+	}
+	if a, q := g.Active(), g.Queued(); a != 0 || q != 0 {
+		t.Fatalf("leaked state: active=%d queued=%d", a, q)
+	}
+	st := g.Stats()
+	if st.Arrivals != st.Admitted+st.Rejected+st.Timeouts {
+		t.Fatalf("identity broken: %+v", st)
+	}
+}
+
+// oscillatingController cycles its bound through 0, 1, 2, 3.
+type oscillatingController struct{ updates atomic.Int64 }
+
+func (o *oscillatingController) Update(Sample) float64 {
+	return float64(o.updates.Add(1) % 4)
+}
+func (o *oscillatingController) Bound() float64 { return 2 }
+func (o *oscillatingController) Name() string   { return "oscillating" }
