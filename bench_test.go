@@ -191,14 +191,18 @@ func BenchmarkMicro_AdaptiveGate(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_SimGate measures an admit/depart pair on the simulator
-// gate.
+// BenchmarkMicro_SimGate measures an admit/depart pair on the one-class
+// admission policy the simulator drives.
 func BenchmarkMicro_SimGate(b *testing.B) {
-	g := gate.New(math.Inf(1), nil)
+	p, err := gate.NewPolicy([]gate.ClassSpec{{Name: "default"}}, math.Inf(1), func(int) {})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Arrive(func() {})
-		g.Depart()
+		p.Admit(0)
+		p.Depart(0)
 	}
 }
 

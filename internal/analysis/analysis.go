@@ -121,6 +121,23 @@ func ObjKey(obj types.Object) string {
 	return obj.Pkg().Path() + "." + name
 }
 
+// Callee resolves the statically called *types.Func of call, if any. A
+// call through a generic instantiation resolves to the generic
+// declaration, the object Defs holds and facts are keyed by.
+func Callee(pass *Pass, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ = pass.TypesInfo.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = pass.TypesInfo.Uses[fun.Sel].(*types.Func)
+	}
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
+}
+
 // Directive support. Repo invariants are declared in source with
 // "//loadctl:<name>" comments; the helpers here parse them uniformly so
 // every analyzer agrees on placement rules.

@@ -145,7 +145,7 @@ func (c *checker) localCallees(fd *ast.FuncDecl) []*types.Func {
 		if !ok {
 			return true
 		}
-		fn := callee(c.pass, call)
+		fn := analysis.Callee(c.pass, call)
 		if fn == nil || fn.Pkg() != c.pass.Pkg {
 			return true
 		}
@@ -240,7 +240,7 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 		}
 	}
 
-	if fn := callee(c.pass, call); fn != nil && fn.Pkg() != nil {
+	if fn := analysis.Callee(c.pass, call); fn != nil && fn.Pkg() != nil {
 		if why := denylisted(fn); why != "" {
 			c.report(call.Pos(), "%s", why)
 		} else if fn.Pkg() != c.pass.Pkg {
@@ -384,19 +384,6 @@ func denylisted(fn *types.Func) string {
 		}
 	}
 	return ""
-}
-
-// callee resolves the statically-called *types.Func, if any.
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 func typeName(t types.Type) string {

@@ -284,7 +284,7 @@ func (w *walker) call(call *ast.CallExpr, st *state) {
 	if !st.held {
 		return
 	}
-	if fn := callee(w.pass, call); fn != nil {
+	if fn := analysis.Callee(w.pass, call); fn != nil {
 		if pkg, why := blockingPackage(fn); pkg != "" {
 			w.pass.Reportf(call.Pos(), "%s while shard locks are held; release before %s", why, pkg)
 		}
@@ -292,24 +292,11 @@ func (w *walker) call(call *ast.CallExpr, st *state) {
 }
 
 func (w *walker) roleOf(call *ast.CallExpr) lockRole {
-	fn := callee(w.pass, call)
+	fn := analysis.Callee(w.pass, call)
 	if fn == nil {
 		return roleNone
 	}
 	return w.roles[fn]
-}
-
-// callee resolves the called *types.Func, if statically known.
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // blockingPackage classifies calls that must not run under shard locks.

@@ -251,8 +251,9 @@ type Proxy struct {
 
 	loop *ctl.Loop // θ self-tuning + decision trace
 
-	stop chan struct{}
-	done chan struct{}
+	stop  chan struct{}
+	done  chan struct{}
+	swept chan struct{} // closed when the first health sweep has finished
 }
 
 // New validates cfg and starts the health and control loops.
@@ -273,6 +274,7 @@ func New(cfg Config) (*Proxy, error) {
 		start:  time.Now(),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
+		swept:  make(chan struct{}),
 	}
 	for _, u := range cfg.Backends {
 		u = strings.TrimRight(strings.TrimSpace(u), "/")

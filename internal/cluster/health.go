@@ -23,6 +23,7 @@ func (p *Proxy) healthLoop() {
 	// One immediate sweep so the proxy starts with signals instead of
 	// routing blind for a full interval.
 	p.checkAll()
+	close(p.swept)
 	for {
 		select {
 		case <-p.stop:

@@ -77,6 +77,13 @@ func newTestProxy(t *testing.T, cfg Config) *Proxy {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
+	// Start from settled backend state: a sweep still in flight could
+	// revive a backend the test has just seen the data path mark dead.
+	select {
+	case <-p.swept:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first health sweep did not finish")
+	}
 	return p
 }
 

@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"github.com/tpctl/loadctl/internal/core"
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/plot"
+	"github.com/tpctl/loadctl/internal/telemetry"
 	"github.com/tpctl/loadctl/internal/tpsim"
 	"github.com/tpctl/loadctl/internal/workload"
 )
@@ -190,7 +190,7 @@ func Ablation2PL(o Options) (*Outcome, error) {
 	cfg.WarmUp = cfg.Duration / 4
 
 	terms := linspace(20, 500, maxI(5, o.gridN(7)))
-	curve := metrics.Series{Name: "throughput_2pl"}
+	curve := telemetry.Series{Name: "throughput_2pl"}
 	for _, n := range terms {
 		c := cfg
 		c.Terminals = int(n)

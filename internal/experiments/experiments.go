@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"github.com/tpctl/loadctl/internal/core"
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/plot"
 	"github.com/tpctl/loadctl/internal/telemetry"
 	"github.com/tpctl/loadctl/internal/tpsim"
@@ -207,7 +206,7 @@ func linspace(lo, hi float64, n int) []float64 {
 }
 
 // saveCSV writes series to OutDir/<name>.csv when OutDir is set.
-func saveCSV(o Options, name string, series ...metrics.Series) error {
+func saveCSV(o Options, name string, series ...telemetry.Series) error {
 	if o.OutDir == "" {
 		return nil
 	}
@@ -223,8 +222,8 @@ func saveCSV(o Options, name string, series ...metrics.Series) error {
 }
 
 // seriesFromXY builds a Series from x/y slices.
-func seriesFromXY(name string, xs, ys []float64) metrics.Series {
-	s := metrics.Series{Name: name}
+func seriesFromXY(name string, xs, ys []float64) telemetry.Series {
+	s := telemetry.Series{Name: name}
 	for i := range xs {
 		s.Add(xs[i], ys[i])
 	}
@@ -232,7 +231,7 @@ func seriesFromXY(name string, xs, ys []float64) metrics.Series {
 }
 
 // meanTail returns the mean of the last frac of a series' values.
-func meanTail(s metrics.Series, frac float64) float64 {
+func meanTail(s telemetry.Series, frac float64) float64 {
 	n := s.Len()
 	if n == 0 {
 		return 0
@@ -247,7 +246,7 @@ func meanTail(s metrics.Series, frac float64) float64 {
 
 // trackErr computes the mean absolute deviation of a bound trajectory from
 // a reference optimum over [from, to].
-func trackErr(bound metrics.Series, optimum func(t float64) float64, from, to float64) float64 {
+func trackErr(bound telemetry.Series, optimum func(t float64) float64, from, to float64) float64 {
 	var sum float64
 	var n int
 	for _, p := range bound.Points {

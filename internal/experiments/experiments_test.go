@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -172,18 +175,47 @@ func TestHelpers(t *testing.T) {
 	}
 }
 
+// Every registered experiment is a deterministic function of its Options:
+// two runs agree on the outcome, every metric and every CSV byte. Scale
+// 0.03 is where every Options floor binds (40 s horizons, 1.2 s intervals,
+// 3-point grids), the smallest runs the experiments have.
 func TestDeterministicOutcomes(t *testing.T) {
-	a, err := Fig01(tinyOpts())
+	for _, e := range All {
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			a, aCSV := runWithCSV(t, e)
+			b, bCSV := runWithCSV(t, e)
+			// %v prints map keys sorted and each float exactly.
+			if a.String() != b.String() || fmt.Sprint(a.Metrics) != fmt.Sprint(b.Metrics) {
+				t.Fatalf("outcome diverged:\n%s %v\n%s %v", a, a.Metrics, b, b.Metrics)
+			}
+			if !maps.EqualFunc(aCSV, bCSV, bytes.Equal) {
+				t.Fatal("CSV output diverged between runs")
+			}
+		})
+	}
+}
+
+// runWithCSV runs e into a fresh OutDir and returns its outcome and the
+// CSV files it wrote, by name.
+func runWithCSV(t *testing.T, e Experiment) (*Outcome, map[string][]byte) {
+	t.Helper()
+	o := Options{Seed: 1, Scale: 0.03, OutDir: t.TempDir()}
+	out, err := e.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig01(tinyOpts())
+	entries, err := os.ReadDir(o.OutDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range a.Metrics {
-		if b.Metrics[k] != v {
-			t.Fatalf("metric %s diverged: %v vs %v", k, v, b.Metrics[k])
+	files := make(map[string][]byte, len(entries))
+	for _, de := range entries {
+		data, err := os.ReadFile(filepath.Join(o.OutDir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
+		files[de.Name()] = data
 	}
+	return out, files
 }

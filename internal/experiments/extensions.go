@@ -6,8 +6,8 @@ import (
 
 	"github.com/tpctl/loadctl/internal/analytic"
 	"github.com/tpctl/loadctl/internal/core"
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/plot"
+	"github.com/tpctl/loadctl/internal/telemetry"
 	"github.com/tpctl/loadctl/internal/tpsim"
 )
 
@@ -37,7 +37,7 @@ func Analytic(o Options) (*Outcome, error) {
 	}
 
 	bounds := linspace(100, 800, maxI(5, o.gridN(8)))
-	var simC, anaC metrics.Series
+	var simC, anaC telemetry.Series
 	simC.Name, anaC.Name = "simulated", "analytic"
 	for _, b := range bounds {
 		c := cfg

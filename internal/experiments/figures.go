@@ -6,7 +6,6 @@ import (
 
 	"github.com/tpctl/loadctl/internal/core"
 	"github.com/tpctl/loadctl/internal/estimate"
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/plot"
 	"github.com/tpctl/loadctl/internal/sim"
 	"github.com/tpctl/loadctl/internal/telemetry"
@@ -74,7 +73,7 @@ func Fig02(o Options) (*Outcome, error) {
 
 	bounds := linspace(200, 550, maxI(4, o.gridN(8)))
 	// surface[b] = throughput series over time at bound b
-	var surfaces []metrics.Series
+	var surfaces []telemetry.Series
 	for _, b := range bounds {
 		c := cfg
 		c.Controller = core.NewStatic(b)
@@ -89,7 +88,7 @@ func Fig02(o Options) (*Outcome, error) {
 
 	// Ridge: per time bin, which bound wins?
 	nBins := surfaces[0].Len()
-	ridge := metrics.Series{Name: "ridge"}
+	ridge := telemetry.Series{Name: "ridge"}
 	for bin := 0; bin < nBins; bin++ {
 		bestB, bestT := bounds[0], math.Inf(-1)
 		for i, s := range surfaces {
@@ -189,7 +188,7 @@ func Fig06(o Options) (*Outcome, error) {
 	opt := 250.0
 	// The rectangular estimator samples every 5th tick (long interval, the
 	// sample then represents a 5-tick average); the faded one every tick.
-	var rectErr, fadeErr metrics.Series
+	var rectErr, fadeErr telemetry.Series
 	rectErr.Name, fadeErr.Name = "rect_window_err", "faded_rls_err"
 	steps := int(600 * math.Max(o.Scale, 0.2))
 	for i := 0; i < steps; i++ {
@@ -239,7 +238,7 @@ func Fig06(o Options) (*Outcome, error) {
 	return out, nil
 }
 
-func windowMean(s metrics.Series, from, to float64) float64 {
+func windowMean(s telemetry.Series, from, to float64) float64 {
 	var w telemetry.Welford
 	for _, p := range s.Points {
 		if p.T >= from && p.T <= to {

@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"github.com/tpctl/loadctl/internal/core"
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/plot"
+	"github.com/tpctl/loadctl/internal/telemetry"
 	"github.com/tpctl/loadctl/internal/tpsim"
 	"github.com/tpctl/loadctl/internal/workload"
 )
@@ -24,7 +24,7 @@ func Fig12(o Options) (*Outcome, error) {
 	cfg.MeasureEvery = o.interval(5)
 
 	terms := linspace(100, 900, o.gridN(9))
-	var without, with metrics.Series
+	var without, with telemetry.Series
 	without.Name, with.Name = "no_control", "pa_control"
 	for _, n := range terms {
 		c := cfg
@@ -105,7 +105,7 @@ func trajectoryOutcome(o Options, id, title string, res *tpsim.Result, optBefore
 		}
 		return optAfter
 	}
-	optLine := metrics.Series{Name: "true_optimum"}
+	optLine := telemetry.Series{Name: "true_optimum"}
 	for _, p := range res.Bound.Points {
 		optLine.Add(p.T, optimum(p.T))
 	}

@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"github.com/tpctl/loadctl/internal/core"
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/plot"
+	"github.com/tpctl/loadctl/internal/telemetry"
 	"github.com/tpctl/loadctl/internal/tpsim"
 )
 
@@ -25,7 +25,7 @@ func Sec6(o Options) (*Outcome, error) {
 	cfg.WarmUp = cfg.Duration / 4
 
 	bounds := linspace(100, 800, o.gridN(8))
-	curves := map[string]*metrics.Series{
+	curves := map[string]*telemetry.Series{
 		"throughput":   {Name: "throughput"},
 		"inv_response": {Name: "inv_response"},
 		"goodput":      {Name: "goodput"},
@@ -50,7 +50,7 @@ func Sec6(o Options) (*Outcome, error) {
 	}
 
 	// Distinctness: (peak − right edge)/peak for a maximizable curve.
-	distinct := func(s *metrics.Series) (argmax, score float64) {
+	distinct := func(s *telemetry.Series) (argmax, score float64) {
 		peak := s.Max()
 		edge := s.Points[s.Len()-1].V
 		if peak.V <= 0 {

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-func mustMulti(t *testing.T, specs []ClassSpec, pool float64) *Multi {
+func mustMulti(t testing.TB, specs []ClassSpec, pool float64) *Multi {
 	t.Helper()
 	m, err := NewMulti(specs, pool)
 	if err != nil {
@@ -47,7 +47,7 @@ func TestMultiValidation(t *testing.T) {
 
 // oneClass is the live gate loadctl.AdaptiveGate runs on: a one-class
 // Multi in pool mode, its class at index 0.
-func oneClass(t *testing.T, limit float64) *Multi {
+func oneClass(t testing.TB, limit float64) *Multi {
 	return mustMulti(t, []ClassSpec{{Name: "default"}}, limit)
 }
 
@@ -881,4 +881,48 @@ func waitCond(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition not reached within 2s")
+}
+
+// BenchmarkMultiFast is the uncontended admission every serving workload
+// but a binding limit takes: AcquireFast + Release, 0 allocs/op.
+func BenchmarkMultiFast(b *testing.B) {
+	m := oneClass(b, 64)
+	b.ReportAllocs()
+	for b.Loop() {
+		if !m.AcquireFast(0) {
+			b.Fatal("uncontended AcquireFast refused")
+		}
+		m.Release(0)
+	}
+}
+
+// BenchmarkMultiHandoff is the contended path: two goroutines take turns
+// on a limit of one, so an Acquire often queues and is handed the slot.
+func BenchmarkMultiHandoff(b *testing.B) {
+	m := oneClass(b, 1)
+	ctx := context.Background()
+	cycle := func() {
+		if err := m.Acquire(ctx, 0); err != nil {
+			b.Error(err)
+		}
+		m.Release(0)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				cycle()
+			}
+		}
+	}()
+	b.ReportAllocs()
+	for b.Loop() {
+		cycle()
+	}
+	close(stop)
+	<-done
 }

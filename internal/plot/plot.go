@@ -10,7 +10,7 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/tpctl/loadctl/internal/metrics"
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 // Chart is an ASCII chart of one or more series sharing axes.
@@ -26,7 +26,7 @@ type Chart struct {
 type chartSeries struct {
 	name   string
 	marker byte
-	pts    []metrics.Point
+	pts    []telemetry.Point
 }
 
 // NewChart returns an empty chart with the given title.
@@ -38,14 +38,14 @@ func NewChart(title string) *Chart {
 var markers = []byte{'*', '+', 'o', 'x', '#', '@', '%', '~'}
 
 // Add attaches a series to the chart.
-func (c *Chart) Add(name string, pts []metrics.Point) *Chart {
+func (c *Chart) Add(name string, pts []telemetry.Point) *Chart {
 	m := markers[len(c.series)%len(markers)]
 	c.series = append(c.series, chartSeries{name: name, marker: m, pts: pts})
 	return c
 }
 
-// AddSeries attaches a metrics.Series.
-func (c *Chart) AddSeries(s metrics.Series) *Chart { return c.Add(s.Name, s.Points) }
+// AddSeries attaches a telemetry.Series.
+func (c *Chart) AddSeries(s telemetry.Series) *Chart { return c.Add(s.Name, s.Points) }
 
 // Render writes the chart to w.
 func (c *Chart) Render(w io.Writer) {
@@ -151,7 +151,7 @@ func maxInt(a, b int) int {
 // first series; every series contributes one value column. Series must have
 // equal lengths (typical for per-interval outputs of one run); it returns an
 // error otherwise.
-func WriteCSV(w io.Writer, series ...metrics.Series) error {
+func WriteCSV(w io.Writer, series ...telemetry.Series) error {
 	if len(series) == 0 {
 		return fmt.Errorf("plot: no series")
 	}
@@ -285,6 +285,6 @@ func ArgMax(xs, ys []float64) (x, y float64) {
 
 // SortPointsByT sorts points in place by time (sweeps are built
 // concurrently and may complete out of order).
-func SortPointsByT(pts []metrics.Point) {
+func SortPointsByT(pts []telemetry.Point) {
 	sort.Slice(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
 }

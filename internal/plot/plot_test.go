@@ -5,11 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/tpctl/loadctl/internal/metrics"
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
-func makeSeries(name string, n int, f func(i int) float64) metrics.Series {
-	s := metrics.Series{Name: name}
+func makeSeries(name string, n int, f func(i int) float64) telemetry.Series {
+	s := telemetry.Series{Name: name}
 	for i := 0; i < n; i++ {
 		s.Add(float64(i), f(i))
 	}
@@ -41,7 +41,7 @@ func TestChartEmptyData(t *testing.T) {
 }
 
 func TestChartIgnoresNonFinite(t *testing.T) {
-	s := metrics.Series{Name: "bad"}
+	s := telemetry.Series{Name: "bad"}
 	s.Add(0, math.NaN())
 	s.Add(1, math.Inf(1))
 	s.Add(2, 5)
@@ -134,7 +134,7 @@ func TestArgMax(t *testing.T) {
 }
 
 func TestSortPointsByT(t *testing.T) {
-	pts := []metrics.Point{{T: 3, V: 1}, {T: 1, V: 2}, {T: 2, V: 3}}
+	pts := []telemetry.Point{{T: 3, V: 1}, {T: 1, V: 2}, {T: 2, V: 3}}
 	SortPointsByT(pts)
 	if pts[0].T != 1 || pts[1].T != 2 || pts[2].T != 3 {
 		t.Fatalf("not sorted: %v", pts)

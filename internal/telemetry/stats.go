@@ -3,12 +3,13 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // The streaming statistics below predate the striped machinery: they are
-// the simulation-era single-writer accumulators (internal/metrics
-// re-exports them for the simulator and experiment harness). They live
-// here so the repository has exactly one implementation of each.
+// the simulation-era single-writer accumulators and time series of the
+// simulator and experiment harness. They live here so the repository has
+// exactly one implementation of each.
 
 // Welford accumulates streaming mean and variance without storing samples.
 type Welford struct {
@@ -174,4 +175,74 @@ func (h *FixedHistogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.Hi
+}
+
+// Point is one (time, value) observation.
+type Point struct {
+	T float64
+	V float64
+}
+
+// Series is an append-only time series: the simulator's per-interval
+// trajectories and the experiment harness's curves.
+type Series struct {
+	Name   string
+	Points []Point
+}
+
+// Add appends an observation.
+func (s *Series) Add(t, v float64) { s.Points = append(s.Points, Point{t, v}) }
+
+// Len returns the number of points.
+func (s *Series) Len() int { return len(s.Points) }
+
+// Values returns just the values.
+func (s *Series) Values() []float64 {
+	out := make([]float64, len(s.Points))
+	for i, p := range s.Points {
+		out[i] = p.V
+	}
+	return out
+}
+
+// MeanAfter returns the mean of values with T >= t0 (steady-state mean
+// after discarding warm-up).
+func (s *Series) MeanAfter(t0 float64) float64 {
+	var w Welford
+	for _, p := range s.Points {
+		if p.T >= t0 {
+			w.Add(p.V)
+		}
+	}
+	return w.Mean()
+}
+
+// Max returns the maximum point (zero Point for an empty series).
+func (s *Series) Max() Point {
+	var best Point
+	found := false
+	for _, p := range s.Points {
+		if !found || p.V > best.V {
+			best = p
+			found = true
+		}
+	}
+	return best
+}
+
+// Quantile returns the q-quantile (0..1) of the values.
+func (s *Series) Quantile(q float64) float64 {
+	if len(s.Points) == 0 {
+		return 0
+	}
+	vals := s.Values()
+	sort.Float64s(vals)
+	idx := q * float64(len(vals)-1)
+	lo := int(math.Floor(idx))
+	hi := int(math.Ceil(idx))
+	if lo == hi {
+		return vals[lo]
+	}
+	frac := idx - float64(lo)
+	return vals[lo]*(1-frac) + vals[hi]*frac
 }

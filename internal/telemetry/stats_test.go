@@ -1,15 +1,13 @@
-package metrics
+package telemetry
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 func TestWelfordBasic(t *testing.T) {
-	var w telemetry.Welford
+	var w Welford
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
@@ -26,7 +24,7 @@ func TestWelfordBasic(t *testing.T) {
 }
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w telemetry.Welford
+	var w Welford
 	if w.Mean() != 0 || w.Var() != 0 {
 		t.Fatal("empty accumulator should be zero")
 	}
@@ -45,7 +43,7 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 		if len(raw) < 2 {
 			return true
 		}
-		var w telemetry.Welford
+		var w Welford
 		var sum float64
 		for _, r := range raw {
 			w.Add(float64(r))
@@ -66,7 +64,7 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 }
 
 func TestTimeWeightedMean(t *testing.T) {
-	var tw telemetry.TimeWeighted
+	var tw TimeWeighted
 	tw.Set(0, 2)  // 2 for [0,4)
 	tw.Set(4, 10) // 10 for [4,6)
 	got := tw.Mean(6)
@@ -80,7 +78,7 @@ func TestTimeWeightedMean(t *testing.T) {
 }
 
 func TestTimeWeightedResetAt(t *testing.T) {
-	var tw telemetry.TimeWeighted
+	var tw TimeWeighted
 	tw.Set(0, 100)
 	tw.Set(10, 4)
 	tw.ResetAt(10)
@@ -98,7 +96,7 @@ func TestTimeWeightedBackwardsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	var tw telemetry.TimeWeighted
+	var tw TimeWeighted
 	tw.Set(5, 1)
 	tw.Set(4, 2)
 }
@@ -141,7 +139,7 @@ func TestSeriesQuantile(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := telemetry.NewFixedHistogram(0, 10, 10)
+	h := NewFixedHistogram(0, 10, 10)
 	for i := 0; i < 100; i++ {
 		h.Add(float64(i%10) + 0.5)
 	}
@@ -160,7 +158,7 @@ func TestHistogram(t *testing.T) {
 }
 
 func TestHistogramClamping(t *testing.T) {
-	h := telemetry.NewFixedHistogram(0, 1, 4)
+	h := NewFixedHistogram(0, 1, 4)
 	h.Add(-5)
 	h.Add(99)
 	if h.Buckets[0] != 1 || h.Buckets[3] != 1 {
@@ -174,62 +172,5 @@ func TestHistogramValidation(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	telemetry.NewFixedHistogram(1, 1, 4)
-}
-
-func TestAutocorr1(t *testing.T) {
-	// Alternating series has strongly negative lag-1 autocorrelation.
-	alt := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	if a := Autocorr1(alt); a > -0.5 {
-		t.Fatalf("alternating autocorr = %v, want strongly negative", a)
-	}
-	// Slowly varying series is positively autocorrelated.
-	slow := make([]float64, 50)
-	for i := range slow {
-		slow[i] = math.Sin(float64(i) / 10)
-	}
-	if a := Autocorr1(slow); a < 0.5 {
-		t.Fatalf("slow autocorr = %v, want strongly positive", a)
-	}
-	if Autocorr1([]float64{1, 2}) != 0 {
-		t.Fatal("short series should return 0")
-	}
-	if Autocorr1([]float64{3, 3, 3, 3}) != 0 {
-		t.Fatal("constant series should return 0")
-	}
-}
-
-func TestRequiredDepartures(t *testing.T) {
-	// Poisson-ish, 10% error, 95% confidence -> (1.96/0.1)^2 ≈ 385.
-	n := RequiredDepartures(1.0, 0.1, 1.96)
-	if n < 380 || n > 390 {
-		t.Fatalf("n = %d, want ~385", n)
-	}
-	// §5: "rather hundreds of departures than some tens" — 10% accuracy
-	// indeed needs hundreds.
-	if n < 100 {
-		t.Fatal("rule of §5 violated")
-	}
-	if RequiredDepartures(1, 0, 1.96) != math.MaxInt32 {
-		t.Fatal("zero error must demand unbounded sample")
-	}
-	if RequiredDepartures(0, 10, 1.96) < 1 {
-		t.Fatal("must need at least one departure")
-	}
-}
-
-func TestSuggestInterval(t *testing.T) {
-	// 100 tx/s needing 400 departures -> 4 s, inside [1, 30].
-	if dt := SuggestInterval(100, 400, 1, 30); math.Abs(dt-4) > 1e-12 {
-		t.Fatalf("dt = %v, want 4", dt)
-	}
-	if dt := SuggestInterval(100, 10, 1, 30); dt != 1 {
-		t.Fatalf("clamp to min failed: %v", dt)
-	}
-	if dt := SuggestInterval(1, 10000, 1, 30); dt != 30 {
-		t.Fatalf("clamp to max failed: %v", dt)
-	}
-	if dt := SuggestInterval(0, 100, 1, 30); dt != 30 {
-		t.Fatalf("zero throughput should give max: %v", dt)
-	}
+	NewFixedHistogram(1, 1, 4)
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/tpctl/loadctl/internal/core"
 	"github.com/tpctl/loadctl/internal/db"
 	"github.com/tpctl/loadctl/internal/gate"
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/sim"
 	"github.com/tpctl/loadctl/internal/station"
 	"github.com/tpctl/loadctl/internal/telemetry"
@@ -61,7 +60,7 @@ type System struct {
 	sim   *sim.Simulator
 	cpu   cpuStation
 	disk  *station.Delay
-	gateQ *gate.Gate
+	gateQ *gate.Policy[*txn]
 	proto cc.Protocol
 	dbase *db.Database
 	gen   db.AccessGen
@@ -136,10 +135,11 @@ func New(cfg Config) *System {
 	if cfg.Controller != nil {
 		limit = cfg.Controller.Bound()
 	}
-	s.gateQ = gate.New(limit, s.sim.Now)
-	if cfg.Displacement {
-		s.gateQ.SetDisplaceFn(s.displaceVictims)
+	gq, err := gate.NewPolicy([]gate.ClassSpec{{Name: "default"}}, limit, s.admit)
+	if err != nil {
+		panic(err)
 	}
+	s.gateQ = gq
 	s.res = newResult(cfg)
 	return s
 }
@@ -167,10 +167,15 @@ func (s *System) submit(t *txn) {
 	t.state = stateGated
 	t.submitT = s.sim.Now()
 	t.attempts = 0
-	s.gateQ.Arrive(func() { s.admit(t) })
+	if s.gateQ.Admit(0) {
+		s.admit(t)
+	} else {
+		s.gateQ.Enqueue(0, t)
+	}
 }
 
-// admit runs when the gate grants entry.
+// admit runs when the gate grants entry: at once from submit, or from the
+// gate's pump when a slot frees.
 func (s *System) admit(t *txn) {
 	t.admitT = s.sim.Now()
 	t.state = stateRunning
@@ -323,7 +328,7 @@ func (s *System) complete(t *txn) {
 	s.res.recordCommit(now, now-t.submitT, now-t.admitT, t.attempts, s.cfg.WarmUp)
 	s.removeActive(t)
 	t.state = stateThinking
-	s.gateQ.Depart()
+	s.gateQ.Depart(0)
 	s.loadAvg.Set(now, float64(s.gateQ.Active()))
 	s.sim.Schedule(s.cfg.Think.Sample(s.gThink), "think", func() {
 		s.submit(t)
@@ -367,7 +372,9 @@ func (s *System) resume(ids []cc.TxnID) {
 }
 
 // displaceVictims implements §4.3 option (ii): abort the youngest active
-// transactions and re-queue them at the head of the gate.
+// transactions and re-queue them at the head of the gate. Each victim is
+// queued before its slot is freed, so with a fractional n* the freeing
+// departure's pump readmits the last victim at once.
 func (s *System) displaceVictims(excess int) {
 	for i := 0; i < excess && len(s.activeOrder) > 0; i++ {
 		t := s.activeOrder[len(s.activeOrder)-1]
@@ -379,9 +386,9 @@ func (s *System) displaceVictims(excess int) {
 		}
 		t.state = stateDisplaced
 		s.res.displacements++
-		s.gateQ.DisplacedDepart()
+		s.gateQ.PushFront(0, t)
+		s.gateQ.Depart(0)
 		s.loadAvg.Set(s.sim.Now(), float64(s.gateQ.Active()))
-		s.gateQ.Reenter(func() { s.admit(t) })
 	}
 }
 
@@ -435,13 +442,20 @@ func (s *System) measure() {
 		sample.Perf = util
 	}
 
-	bound := s.gateQ.Limit()
+	bound := s.gateQ.PoolLimit()
 	if s.cfg.Controller != nil {
 		bound = s.cfg.Controller.Update(sample)
-		s.gateQ.SetLimit(bound)
+		// §4.3 option (ii) enforces a lowered n* at once. Take the excess
+		// before the pump: when there is one, the pump admits nobody, but
+		// a raised fractional n* fills to ⌈n*⌉, which is no excess.
+		excess := s.gateQ.Active() - int(math.Floor(bound))
+		s.gateQ.SetPoolLimit(bound)
+		if s.cfg.Displacement && excess > 0 {
+			s.displaceVictims(excess)
+		}
 	}
 	s.res.recordInterval(now, sample, bound, util, goodput,
-		float64(s.gateQ.QueueLen()), s.cfg.WarmUp)
+		float64(s.gateQ.Queued()), s.cfg.WarmUp)
 
 	// Reset interval accumulators.
 	s.prevSample = sample
@@ -478,13 +492,49 @@ func (s *System) nextInterval(throughput float64) float64 {
 	if hi <= 0 {
 		hi = 30
 	}
-	needed := metrics.RequiredDepartures(1.0, relErr, 1.96)
-	return metrics.SuggestInterval(throughput, needed, lo, hi)
+	needed := requiredDepartures(1.0, relErr, 1.96)
+	return suggestInterval(throughput, needed, lo, hi)
+}
+
+// requiredDepartures returns how many departures a throughput estimate
+// must span so that the relative error of the interval-throughput
+// estimator is at most relErr at the given normal quantile z (e.g. 1.96
+// for 95%), assuming the departure process is roughly Poisson-like with
+// coefficient of variation cv of the inter-departure times. This is the §5
+// rule ("rather hundreds of departures than some tens"): n >= (z*cv/relErr)².
+func requiredDepartures(cv, relErr, z float64) int {
+	if relErr <= 0 {
+		return math.MaxInt32
+	}
+	if cv <= 0 {
+		cv = 1 // Poisson default
+	}
+	n := (z * cv / relErr) * (z * cv / relErr)
+	if n < 1 {
+		return 1
+	}
+	return int(math.Ceil(n))
+}
+
+// suggestInterval converts a required departure count into a measurement
+// interval length given the currently observed throughput (departures/s),
+// clamped to [minLen, maxLen]. It implements the stability/responsiveness
+// balance of §5: no longer than needed to filter noise.
+func suggestInterval(throughput float64, needed int, minLen, maxLen float64) float64 {
+	if throughput <= 0 {
+		return maxLen
+	}
+	dt := float64(needed) / throughput
+	if dt < minLen {
+		return minLen
+	}
+	if dt > maxLen {
+		return maxLen
+	}
+	return dt
 }
 
 // conflict bookkeeping: protocol stats are cumulative; track the delta.
-var _ = fmt.Sprintf // keep fmt imported for panics above
-
 func (s *System) intConflictsDelta() uint64 {
 	return s.proto.Stats().Conflicts - s.intConflicts
 }
@@ -501,8 +551,8 @@ func (s *System) finish() {
 // Sim exposes the simulator clock (tests and experiment harness).
 func (s *System) Sim() *sim.Simulator { return s.sim }
 
-// Gate exposes the admission gate (tests).
-func (s *System) Gate() *gate.Gate { return s.gateQ }
+// Gate exposes the admission policy (tests).
+func (s *System) Gate() *gate.Policy[*txn] { return s.gateQ }
 
 // Protocol exposes the CC protocol (tests).
 func (s *System) Protocol() cc.Protocol { return s.proto }

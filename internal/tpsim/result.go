@@ -6,8 +6,6 @@ import (
 
 	"github.com/tpctl/loadctl/internal/cc"
 	"github.com/tpctl/loadctl/internal/core"
-	"github.com/tpctl/loadctl/internal/gate"
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
@@ -16,14 +14,14 @@ import (
 // aggregates.
 type Result struct {
 	// Per-interval series over the whole horizon.
-	Throughput   metrics.Series // commits per second
-	Load         metrics.Series // time-averaged active n
-	Bound        metrics.Series // gate threshold n*
-	Resp         metrics.Series // mean response time of the interval
-	ConflictRate metrics.Series // conflicts per commit
-	Util         metrics.Series // raw CPU utilization
-	Goodput      metrics.Series // committed-work CPU fraction
-	GateQueue    metrics.Series // admission queue length
+	Throughput   telemetry.Series // commits per second
+	Load         telemetry.Series // time-averaged active n
+	Bound        telemetry.Series // gate threshold n*
+	Resp         telemetry.Series // mean response time of the interval
+	ConflictRate telemetry.Series // conflicts per commit
+	Util         telemetry.Series // raw CPU utilization
+	Goodput      telemetry.Series // committed-work CPU fraction
+	GateQueue    telemetry.Series // admission queue length
 
 	// Post-warm-up aggregates.
 	Commits       uint64
@@ -37,25 +35,24 @@ type Result struct {
 	displacements uint64
 
 	// Sealed at the end of the run.
-	CCStats   cc.Stats
-	GateStats gate.Stats
-	CPUUtil   float64
-	Duration  float64
-	WarmUp    float64
+	CCStats  cc.Stats
+	CPUUtil  float64
+	Duration float64
+	WarmUp   float64
 
 	cfgLabel string
 }
 
 func newResult(cfg Config) *Result {
 	return &Result{
-		Throughput:   metrics.Series{Name: "throughput"},
-		Load:         metrics.Series{Name: "load"},
-		Bound:        metrics.Series{Name: "bound"},
-		Resp:         metrics.Series{Name: "resp"},
-		ConflictRate: metrics.Series{Name: "conflict-rate"},
-		Util:         metrics.Series{Name: "util"},
-		Goodput:      metrics.Series{Name: "goodput"},
-		GateQueue:    metrics.Series{Name: "gate-queue"},
+		Throughput:   telemetry.Series{Name: "throughput"},
+		Load:         telemetry.Series{Name: "load"},
+		Bound:        telemetry.Series{Name: "bound"},
+		Resp:         telemetry.Series{Name: "resp"},
+		ConflictRate: telemetry.Series{Name: "conflict-rate"},
+		Util:         telemetry.Series{Name: "util"},
+		Goodput:      telemetry.Series{Name: "goodput"},
+		GateQueue:    telemetry.Series{Name: "gate-queue"},
 		cfgLabel: fmt.Sprintf("N=%d proto=%v D=%d", cfg.Terminals, cfg.Protocol,
 			cfg.DBSize),
 	}
@@ -95,7 +92,6 @@ func (r *Result) recordInterval(now float64, s core.Sample, bound, util, goodput
 
 func (r *Result) seal(s *System) {
 	r.CCStats = s.proto.Stats()
-	r.GateStats = s.gateQ.Stats()
 	r.CPUUtil = s.cpu.Utilization()
 	r.Duration = s.cfg.Duration
 	r.WarmUp = s.cfg.WarmUp

@@ -357,7 +357,7 @@ func TestConservationNoLeaks(t *testing.T) {
 	// active + queued + thinking = terminals. Active set must match the
 	// protocol's live count (OCC has no blocked transactions).
 	active := sys.Gate().Active()
-	queued := sys.Gate().QueueLen()
+	queued := sys.Gate().Queued()
 	if active+queued > cfg.Terminals {
 		t.Fatalf("more transactions in flight (%d) than terminals (%d)",
 			active+queued, cfg.Terminals)
@@ -494,7 +494,7 @@ func TestRandomConfigsConserve(t *testing.T) {
 		sys := New(cfg)
 		res := sys.Run()
 		// Conservation: in-flight transactions never exceed terminals.
-		if sys.Gate().Active()+sys.Gate().QueueLen() > cfg.Terminals {
+		if sys.Gate().Active()+sys.Gate().Queued() > cfg.Terminals {
 			t.Fatalf("trial %d: more in flight than terminals", trial)
 		}
 		// CC sanity: commits recorded by protocol >= result commits
@@ -573,5 +573,40 @@ func TestAllProtocolsThrashAndRecoverWithControl(t *testing.T) {
 		if controlled <= uncontrolled*0.9 {
 			t.Errorf("%v: control %.1f worse than none %.1f", proto, controlled, uncontrolled)
 		}
+	}
+}
+
+func TestRequiredDepartures(t *testing.T) {
+	// Poisson-ish, 10% error, 95% confidence -> (1.96/0.1)^2 ≈ 385.
+	n := requiredDepartures(1.0, 0.1, 1.96)
+	if n < 380 || n > 390 {
+		t.Fatalf("n = %d, want ~385", n)
+	}
+	// §5: "rather hundreds of departures than some tens" — 10% accuracy
+	// indeed needs hundreds.
+	if n < 100 {
+		t.Fatal("rule of §5 violated")
+	}
+	if requiredDepartures(1, 0, 1.96) != math.MaxInt32 {
+		t.Fatal("zero error must demand unbounded sample")
+	}
+	if requiredDepartures(0, 10, 1.96) < 1 {
+		t.Fatal("must need at least one departure")
+	}
+}
+
+func TestSuggestInterval(t *testing.T) {
+	// 100 tx/s needing 400 departures -> 4 s, inside [1, 30].
+	if dt := suggestInterval(100, 400, 1, 30); math.Abs(dt-4) > 1e-12 {
+		t.Fatalf("dt = %v, want 4", dt)
+	}
+	if dt := suggestInterval(100, 10, 1, 30); dt != 1 {
+		t.Fatalf("clamp to min failed: %v", dt)
+	}
+	if dt := suggestInterval(1, 10000, 1, 30); dt != 30 {
+		t.Fatalf("clamp to max failed: %v", dt)
+	}
+	if dt := suggestInterval(0, 100, 1, 30); dt != 30 {
+		t.Fatalf("zero throughput should give max: %v", dt)
 	}
 }
