@@ -405,6 +405,10 @@ func fastReject(w http.ResponseWriter, msg string) {
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
 
+// allowPost is the Allow header of /txn's 405 (RFC 9110 §15.5.6). The
+// slice is shared by every such answer: net/http only reads it.
+var allowPost = []string{http.MethodPost}
+
 // handleTxn is the proxy's data path: every routed transaction passes
 // through here, so it carries the hot-path allocation discipline
 // (//loadctl:hotpath) like the server's handler.
@@ -412,6 +416,7 @@ func fastReject(w http.ResponseWriter, msg string) {
 //loadctl:hotpath
 func (p *Proxy) handleTxn(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
+		w.Header()["Allow"] = allowPost
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}

@@ -103,6 +103,7 @@ type proxyCtrlView struct {
 // supported here.
 func (p *Proxy) handleController(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}

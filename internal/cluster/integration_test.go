@@ -107,7 +107,7 @@ func (b *testBackend) kill() {
 	if hs != nil {
 		_ = hs.Close()
 	}
-	b.srv.CloseLinks()
+	b.srv.CloseConns()
 }
 
 // restart rebinds the original address.

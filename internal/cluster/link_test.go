@@ -158,7 +158,7 @@ func TestLinkIdleConnectionsClosedByBackend(t *testing.T) {
 	if resp := postTxn(t, ts, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first request: %d", resp.StatusCode)
 	}
-	b.srv.CloseLinks()
+	b.srv.CloseConns()
 	waitFor(t, "backend link connections gone", func() bool { return b.srv.LinkConns() == 0 })
 	if resp := postTxn(t, ts, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after the backend closed its idle connections: %d, want 200", resp.StatusCode)
@@ -177,7 +177,7 @@ func TestLinkBreakAfterWriteNotReplayed(t *testing.T) {
 	b0 := startLinkBackend(t, nil)
 	b1 := startLinkBackend(t, nil)
 	b0.eng.hook(func(context.Context) error {
-		b0.srv.CloseLinks() // the wire breaks mid-transaction
+		b0.srv.CloseConns() // the wire breaks mid-transaction
 		return nil
 	})
 	p, ts := passiveProxy(t, Config{Backends: []string{b0.ts.URL, b1.ts.URL}})

@@ -102,6 +102,7 @@ var validOutcomes = []string{
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
+			w.Header().Set("Allow", http.MethodGet)
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}

@@ -127,15 +127,23 @@ func NewID() uint64 {
 // FormatID renders an ID in the 16-hex-digit header form.
 func FormatID(id uint64) string {
 	var buf [16]byte
-	for i := 15; i >= 0; i-- {
-		buf[i] = "0123456789abcdef"[id&0xf]
-		id >>= 4
+	return string(AppendID(buf[:0], id))
+}
+
+// AppendID appends the 16-hex-digit header form of id to b.
+//
+//loadctl:hotpath
+func AppendID(b []byte, id uint64) []byte {
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[id>>uint(shift)&0xf])
 	}
-	return string(buf[:])
+	return b
 }
 
 // ParseID decodes the header form; ok is false for anything but exactly
 // 16 hex digits encoding a nonzero ID.
+//
+//loadctl:hotpath
 func ParseID(s string) (uint64, bool) {
 	if len(s) != 16 {
 		return 0, false

@@ -390,6 +390,7 @@ func (s *Server) handleController(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("unknown scope %q (want pool, perclass, class or slo)", req.Scope), http.StatusBadRequest)
 		}
 	default:
+		w.Header().Set("Allow", "GET, POST")
 		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
 	}
 }

@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
+	"unsafe"
 
 	"github.com/tpctl/loadctl/internal/sim"
 	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
-// The /txn fast path: pooled per-request scratch state, a zero-alloc
-// query parser for the committed /txn vocabulary, and manual JSON
-// response rendering into a pooled buffer. Everything here exists to
-// keep the steady-state request cycle free of per-request heap traffic;
-// handleTxn (transport.go) is the consumer.
+// The /txn fast path: pooled per-request scratch state, the zero-alloc
+// query parser, and manual JSON response rendering into a pooled buffer.
+// Everything here exists to keep the steady-state request cycle free of
+// per-request heap traffic; runTxn (transport.go) is the consumer.
 
 // txnScratch is the pooled per-request state of one /txn invocation:
 // the decoded request, the sampled access set (reused slice capacity),
@@ -27,6 +26,9 @@ type txnScratch struct {
 	write []bool
 	rng   sim.FastRNG
 	buf   []byte
+	// query is the request's raw query, copied and then decoded in place
+	// by parseTxnQuery.
+	query []byte
 	// body presents a link frame's JSON body as the io.Reader the decoder
 	// wants (the HTTP adapter passes r.Body itself).
 	body bytes.Reader
@@ -49,106 +51,128 @@ func getTxnScratch() *txnScratch {
 //loadctl:hotpath
 func putTxnScratch(sc *txnScratch) { txnScratchPool.Put(sc) }
 
-// canFastParseQuery reports whether rawQuery is in the plain subset the
-// zero-alloc parser handles. Percent escapes, '+' (space) and ';'
-// (a parse error since Go 1.17) bail to the legacy url.Values path, so
-// the fast parser never has to replicate decoding or error semantics —
-// on the plain subset the two parsers are behavior-identical (the
-// differential fuzz test FuzzTxnQueryParse holds them to that).
+// parseTxnQuery applies the raw query q onto req with url.ParseQuery's
+// grammar and url.Values.Get's lookup: pairs split on '&'; a pair holding
+// ';' or a malformed %XX escape is skipped whole; keys and values decode
+// %XX and '+' (space); the first occurrence of a key wins, and one with an
+// empty value means "absent"; unknown keys are ignored. k/base/span must
+// parse as integers within their floors or the request is a 400 — the
+// non-empty errMsg, naming the first bad parameter in query order.
+//
+// Decoding happens in place (it only ever shrinks a pair), so q is
+// scratch the caller owns, and req's strings alias it until q is reused.
+// FuzzTxnQueryParse holds this to url.ParseQuery.
 //
 //loadctl:hotpath
-func canFastParseQuery(raw string) bool {
-	for i := 0; i < len(raw); i++ {
-		switch raw[i] {
-		case '%', '+', ';':
-			return false
-		}
-	}
-	return true
-}
-
-// parseTxnQueryFast applies rawQuery (plain subset only — the caller
-// must have checked canFastParseQuery) onto req with exactly the legacy
-// path's semantics: the first occurrence of a key wins, a first
-// occurrence with an empty value means "absent" (url.Values.Get returns
-// the empty first value), unknown keys are ignored, and k/base/span
-// must parse as integers within their floors or the request is a 400.
-// A non-empty errMsg is the 400 message.
-//
-//loadctl:hotpath
-func parseTxnQueryFast(raw string, req *txnRequest) (errMsg string) {
+func parseTxnQuery(q []byte, req *txnRequest) (errMsg string) {
 	var seenClass, seenShape, seenK, seenBase, seenSpan bool
-	for len(raw) > 0 {
-		var pair string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			pair, raw = raw[:i], raw[i+1:]
+	for len(q) > 0 {
+		pair := q
+		if i := bytes.IndexByte(q, '&'); i >= 0 {
+			pair, q = q[:i], q[i+1:]
 		} else {
-			pair, raw = raw, ""
+			q = nil
 		}
-		if pair == "" {
+		if len(pair) == 0 || bytes.IndexByte(pair, ';') >= 0 {
 			continue
 		}
-		key, val := pair, ""
-		if i := strings.IndexByte(pair, '='); i >= 0 {
+		key, val := pair, pair[len(pair):]
+		if i := bytes.IndexByte(pair, '='); i >= 0 {
 			key, val = pair[:i], pair[i+1:]
 		}
-		switch key {
+		key, okKey := unescapeQuery(key)
+		val, okVal := unescapeQuery(val)
+		if !okKey || !okVal {
+			continue
+		}
+		var (
+			seen  *bool
+			dst   *int
+			floor int
+			bad   string
+		)
+		switch view(key) {
 		case "class":
-			if seenClass {
-				continue
+			if !seenClass && len(val) > 0 {
+				req.Class = view(val)
 			}
 			seenClass = true
-			if val != "" {
-				req.Class = val
-			}
+			continue
 		case "shape":
-			if seenShape {
-				continue
+			if !seenShape && len(val) > 0 {
+				req.Shape = view(val)
 			}
 			seenShape = true
-			if val != "" {
-				req.Shape = val
-			}
+			continue
 		case "k":
-			if seenK {
-				continue
-			}
-			seenK = true
-			if val != "" {
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 1 {
-					return "bad k"
-				}
-				req.K = n
-			}
+			seen, dst, floor, bad = &seenK, &req.K, 1, "bad k"
 		case "base":
-			if seenBase {
-				continue
-			}
-			seenBase = true
-			if val != "" {
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
-					return "bad base"
-				}
-				req.Base = n
-			}
+			seen, dst, floor, bad = &seenBase, &req.Base, 0, "bad base"
 		case "span":
-			if seenSpan {
-				continue
+			seen, dst, floor, bad = &seenSpan, &req.Span, 0, "bad span"
+		default:
+			continue
+		}
+		if *seen {
+			continue
+		}
+		*seen = true
+		if len(val) > 0 {
+			n, err := strconv.Atoi(view(val))
+			if err != nil || n < floor {
+				return bad
 			}
-			seenSpan = true
-			if val != "" {
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
-					return "bad span"
-				}
-				req.Span = n
-			}
+			*dst = n
 		}
 	}
 	return ""
 }
+
+// unescapeQuery decodes b in place as url.QueryUnescape does — %XX escapes
+// and '+' as a space — and returns the decoded prefix; ok is false for a
+// '%' not followed by two hex digits.
+//
+//loadctl:hotpath
+func unescapeQuery(b []byte) (_ []byte, ok bool) {
+	w := 0
+	for i := 0; i < len(b); i++ {
+		c := b[i]
+		switch c {
+		case '%':
+			if i+2 >= len(b) || !isHex(b[i+1]) || !isHex(b[i+2]) {
+				return nil, false
+			}
+			c = unhex(b[i+1])<<4 | unhex(b[i+2])
+			i += 2
+		case '+':
+			c = ' '
+		}
+		b[w] = c
+		w++
+	}
+	return b[:w], true
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func unhex(c byte) byte {
+	switch {
+	case c <= '9':
+		return c - '0'
+	case c >= 'a':
+		return c - 'a' + 10
+	default:
+		return c - 'A' + 10
+	}
+}
+
+// view returns b as a string without copying; it is valid only while b's
+// bytes are unchanged, which every caller's comment bounds.
+//
+//loadctl:hotpath
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // buildSpecFast samples one transaction's access set into the scratch's
 // reused slices: k distinct items from the key range [base, base+span)

@@ -41,13 +41,16 @@ func (e *gateEngine) Exec(ctx context.Context, _ TxnSpec) error {
 }
 
 // wireAnswer is what the differential test compares: everything a /txn
-// answer carries to the proxy, on either wire.
+// answer carries to the proxy, on any wire.
 type wireAnswer struct {
 	status      int
 	retryAfter  bool
 	signal      string
 	contentType string
 	body        string
+	// headers is the whole header set (headerSet). Only the two HTTP
+	// wires compare it: the link's answer has no Date or Content-Length.
+	headers string
 }
 
 var latencyField = regexp.MustCompile(`"latency_ms":[0-9.eE+-]+`)
@@ -72,6 +75,7 @@ func answerOf(t *testing.T) func(*http.Response, error) wireAnswer {
 			signal:      resp.Header.Get(loadsig.Header),
 			contentType: resp.Header.Get("Content-Type"),
 			body:        latencyField.ReplaceAllString(string(body), `"latency_ms":0`),
+			headers:     headerSet(resp.Header, string(body)),
 		}
 	}
 }
@@ -88,10 +92,12 @@ func newTxnRequest(base, query, body string) *http.Request {
 	return req
 }
 
-// TestWireEquivalence sends the same requests over HTTP and over the link
-// and requires the same answer: status, Retry-After presence, load signal,
-// content type, and body up to latency_ms. One transaction path serves
-// both wires, so a difference here is an adapter bug.
+// TestWireEquivalence sends the same requests over HTTP (net/http), over
+// the link and through the front door on a real listener, and requires
+// the same answer: status, Retry-After presence, load signal, content
+// type, and body up to latency_ms. The door's answer must also carry the
+// net/http answer's whole header set, Date's value aside. One transaction
+// path serves all three wires, so a difference here is an adapter bug.
 func TestWireEquivalence(t *testing.T) {
 	cases := []struct {
 		name, query, body string
@@ -110,13 +116,18 @@ func TestWireEquivalence(t *testing.T) {
 		{"negative k in JSON", "", `{"k":-1}`, 400},
 		{"bad base", "base=x", "", 400},
 	}
-	check := func(t *testing.T, ts string, tr *link.Transport, query, body string, want int) {
+	check := func(t *testing.T, s *Server, ts, door string, tr *link.Transport, query, body string, want int) {
 		t.Helper()
 		overHTTP := answerOf(t)(http.DefaultClient.Do(newTxnRequest(ts, query, body)))
 		overLink := answerOf(t)(tr.RoundTrip(newTxnRequest(ts, query, body)))
+		overDoor := answerOf(t)(overDoor(t, s, door, query, body))
 		if overHTTP.status != want {
 			t.Fatalf("HTTP answered %d, want %d (%q)", overHTTP.status, want, overHTTP.body)
 		}
+		if overHTTP != overDoor {
+			t.Fatalf("net/http and the front door disagree:\n http %+v\n door %+v", overHTTP, overDoor)
+		}
+		overHTTP.headers, overLink.headers = "", ""
 		if overHTTP != overLink {
 			t.Fatalf("wires disagree:\n http %+v\n link %+v", overHTTP, overLink)
 		}
@@ -124,10 +135,11 @@ func TestWireEquivalence(t *testing.T) {
 
 	t.Run("queueing", func(t *testing.T) {
 		s, ts := newTestServer(t, 8, func(c *Config) { c.Classes = DefaultClasses() })
+		door := serveFrontDoor(t, s)
 		tr := link.NewTransport()
 		defer tr.CloseIdleConnections()
 		for _, c := range cases {
-			t.Run(c.name, func(t *testing.T) { check(t, ts.URL, tr, c.query, c.body, c.want) })
+			t.Run(c.name, func(t *testing.T) { check(t, s, ts.URL, door, tr, c.query, c.body, c.want) })
 		}
 		if !tr.Stats(strings.TrimPrefix(ts.URL, "http://")).Link || s.LinkConns() == 0 {
 			t.Fatal("the link half of the comparison did not cross the link")
@@ -145,10 +157,11 @@ func TestWireEquivalence(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			eng := newGateEngine()
-			_, ts := newTestServer(t, 1, func(c *Config) {
+			s, ts := newTestServer(t, 1, func(c *Config) {
 				c.Engine = eng
 				mode.mutate(c)
 			})
+			door := serveFrontDoor(t, s)
 			tr := link.NewTransport()
 			defer tr.CloseIdleConnections()
 			held := make(chan struct{})
@@ -160,8 +173,8 @@ func TestWireEquivalence(t *testing.T) {
 				}
 			}()
 			<-eng.entered
-			time.Sleep(2 * signalTTL) // the cached signal now shows the held slot to both wires
-			check(t, ts.URL, tr, "shape=update&k=2", "", mode.want)
+			time.Sleep(2 * signalTTL) // the cached signal now shows the held slot to every wire
+			check(t, s, ts.URL, door, tr, "shape=update&k=2", "", mode.want)
 			close(eng.release)
 			<-held
 		})
@@ -240,7 +253,7 @@ func TestDrainLinks(t *testing.T) {
 	// Two drains at once (Serve's and an embedder's): both must see the end.
 	drained := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		go func() { drained <- s.DrainLinks(context.Background()) }()
+		go func() { drained <- s.DrainConns(context.Background()) }()
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for s.LinkConns() != 1 {
@@ -251,7 +264,7 @@ func TestDrainLinks(t *testing.T) {
 	}
 	select {
 	case err := <-drained:
-		t.Fatalf("DrainLinks returned %v with a transaction in flight", err)
+		t.Fatalf("DrainConns returned %v with a transaction in flight", err)
 	default:
 	}
 	if resp, err := http.DefaultClient.Do(upgradeRequest(ts.URL)); err != nil || resp.StatusCode != http.StatusServiceUnavailable {
@@ -268,7 +281,7 @@ func TestDrainLinks(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-drained; err != nil || s.LinkConns() != 0 {
-			t.Fatalf("DrainLinks: %v, %d connections left", err, s.LinkConns())
+			t.Fatalf("DrainConns: %v, %d connections left", err, s.LinkConns())
 		}
 	}
 }
@@ -290,7 +303,7 @@ func TestLinkPanicUnregisters(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	if err := s.DrainLinks(ctx); err != nil || s.LinkConns() != 0 {
+	if err := s.DrainConns(ctx); err != nil || s.LinkConns() != 0 {
 		t.Fatalf("drain after a handler panic: %v, %d connections left", err, s.LinkConns())
 	}
 }
@@ -315,8 +328,8 @@ func TestDrainLinksDeadline(t *testing.T) {
 	<-eng.entered
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := s.DrainLinks(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("DrainLinks past its deadline returned %v", err)
+	if err := s.DrainConns(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("DrainConns past its deadline returned %v", err)
 	}
 	if err := <-errc; err == nil {
 		t.Fatal("severed connection still answered")

@@ -40,8 +40,10 @@
 // internal/telemetry owns the striped hot-path counters, latency
 // histograms, load integrator and the Prometheus+JSON dual exporter
 // (measure.go); internal/ctl owns the sense→decide→actuate loop and its
-// decision trace (control.go); transport.go holds the HTTP handlers; this
-// file holds configuration and lifecycle.
+// decision trace (control.go); transport.go holds the /txn path and its
+// net/http and link adapters, frontdoor.go the hand-served HTTP/1.1 door
+// loadctl.Serve puts in front of net/http; this file holds configuration
+// and lifecycle.
 //
 // The request hot path never takes the server-wide mutex: every
 // per-request counter lives in striped, cache-line-padded atomic cells
@@ -224,15 +226,18 @@ type Server struct {
 
 	loop *ctl.Loop // the sense→decide→actuate cycle; owns the trace
 
-	// Link connections (GET /link upgrades, see internal/link). They are
-	// hijacked, so http.Server's Close and Shutdown neither see nor end
-	// them: the server owns them. linkDraining makes every connection
-	// close after its current answer; linkDrained is closed when the last
-	// one has gone during a DrainLinks.
-	linkMu       sync.Mutex
-	links        map[*link.ServerConn]struct{}
-	linkDraining atomic.Bool
-	linkDrained  chan struct{}
+	// Connections the server holds itself rather than net/http: link
+	// connections (GET /link upgrades, see internal/link), which are
+	// hijacked, and front-door connections (frontdoor.go), which net/http
+	// never saw. http.Server's Close and Shutdown neither see nor end
+	// them. The value tells a link connection from a door one.
+	// connsDraining makes every connection close after its current answer;
+	// connsDrained is closed when the last one has gone during a
+	// DrainConns.
+	connMu        sync.Mutex
+	conns         map[heldConn]bool
+	connsDraining atomic.Bool
+	connsDrained  chan struct{}
 }
 
 // New validates cfg, starts the measurement loop and returns the server.
@@ -323,7 +328,7 @@ func New(cfg Config) (*Server, error) {
 	s.lastTick = s.start
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/txn", s.handleTxn)
-	s.links = make(map[*link.ServerConn]struct{})
+	s.conns = make(map[heldConn]bool)
 	s.mux.HandleFunc(link.Path, s.handleLink)
 	s.mux.Handle("/metrics", telemetry.MetricsEndpoint{
 		Snapshot:  func(withHistory bool) any { return jsonSnapshot(s.SnapshotNow(withHistory)) },
@@ -353,18 +358,19 @@ func (s *Server) Requests() *reqtrace.Recorder { return s.rec }
 // GET /debug/incidents), for embedders mounting it on a debug listener.
 func (s *Server) Incidents() *obs.Recorder { return s.obsRec }
 
-// Close stops the measurement loop and severs the link connections; the
-// handler keeps working with the last installed limit.
+// Close stops the measurement loop and severs the connections the server
+// holds (link and front-door); the handler keeps working with the last
+// installed limit.
 func (s *Server) Close() {
 	s.loop.Close()
-	s.CloseLinks()
+	s.CloseConns()
 }
 
 // handleLink upgrades a proxy's connection to the link and serves it from
 // this goroutine — the one net/http started for the connection — until
 // the proxy closes it, a drain ends it or it is severed.
 func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
-	if s.linkDraining.Load() {
+	if s.connsDraining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -372,23 +378,10 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return // Accept answered the request itself
 	}
-	s.linkMu.Lock()
-	s.links[c] = struct{}{}
-	if s.linkDraining.Load() {
-		c.Interrupt() // upgraded while DrainLinks was already under way
-	}
-	s.linkMu.Unlock()
+	s.holdConn(c, true)
 	// Deferred, so that a panic net/http recovers from still unregisters
 	// the connection and a drain does not wait for it until its deadline.
-	defer func() {
-		s.linkMu.Lock()
-		delete(s.links, c)
-		if len(s.links) == 0 && s.linkDrained != nil {
-			close(s.linkDrained)
-			s.linkDrained = nil
-		}
-		s.linkMu.Unlock()
-	}()
+	defer s.dropConn(c)
 	// A broken connection is the proxy's to report (502, backend dead). A
 	// failed answer write is deliberately not a disconnect here: the
 	// transaction already left through commit or abort, and Totals keeps
@@ -396,50 +389,88 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	_ = c.Serve(s)
 }
 
-// LinkConns returns the number of open link connections.
-func (s *Server) LinkConns() int {
-	s.linkMu.Lock()
-	defer s.linkMu.Unlock()
-	return len(s.links)
+// heldConn is a connection the server holds outside net/http: a
+// *link.ServerConn or a front-door *doorConn.
+type heldConn interface {
+	// Interrupt ends the connection at its next request boundary: an idle
+	// one at once, a busy one after its answer.
+	Interrupt()
+	// Close severs it.
+	Close() error
 }
 
-// CloseLinks severs every open link connection, as a crash would: a
-// transaction in flight still runs but loses its answer. New upgrades are
-// still accepted afterwards.
-func (s *Server) CloseLinks() {
-	s.linkMu.Lock()
-	defer s.linkMu.Unlock()
-	for c := range s.links {
+// holdConn registers c; one that arrives while a drain is under way is
+// interrupted at once.
+func (s *Server) holdConn(c heldConn, isLink bool) {
+	s.connMu.Lock()
+	s.conns[c] = isLink
+	if s.connsDraining.Load() {
+		c.Interrupt()
+	}
+	s.connMu.Unlock()
+}
+
+// dropConn unregisters c and ends a drain waiting for the last one.
+func (s *Server) dropConn(c heldConn) {
+	s.connMu.Lock()
+	delete(s.conns, c)
+	if len(s.conns) == 0 && s.connsDrained != nil {
+		close(s.connsDrained)
+		s.connsDrained = nil
+	}
+	s.connMu.Unlock()
+}
+
+// LinkConns returns the number of open link connections.
+func (s *Server) LinkConns() int {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	n := 0
+	for _, isLink := range s.conns {
+		if isLink {
+			n++
+		}
+	}
+	return n
+}
+
+// CloseConns severs every open link and front-door connection, as a crash
+// would: a transaction in flight still runs but loses its answer. New
+// connections are still accepted afterwards.
+func (s *Server) CloseConns() {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	for c := range s.conns {
 		_ = c.Close()
 	}
 }
 
-// DrainLinks is the link half of a graceful shutdown, to run after
-// http.Server.Shutdown (which cannot see hijacked connections): idle link
-// connections close at once, one with a transaction in flight closes
-// after its answer is written, and no new upgrade is accepted. It returns
-// nil once all are gone; when ctx ends first it severs the rest and
-// returns ctx's error.
-func (s *Server) DrainLinks(ctx context.Context) error {
-	s.linkDraining.Store(true)
-	s.linkMu.Lock()
-	if len(s.links) == 0 {
-		s.linkMu.Unlock()
+// DrainConns is the half of a graceful shutdown http.Server.Shutdown
+// cannot do, to run after it: it ends the link and front-door connections
+// net/http does not track. Idle ones close at once, one with a
+// transaction in flight closes after its answer is written, and no new
+// link upgrade is accepted. It returns nil once all are gone; when ctx
+// ends first it severs the rest and returns ctx's error.
+func (s *Server) DrainConns(ctx context.Context) error {
+	s.connsDraining.Store(true)
+	s.connMu.Lock()
+	if len(s.conns) == 0 {
+		s.connMu.Unlock()
 		return nil
 	}
-	if s.linkDrained == nil {
-		s.linkDrained = make(chan struct{}) // shared by concurrent drains
+	if s.connsDrained == nil {
+		s.connsDrained = make(chan struct{}) // shared by concurrent drains
 	}
-	drained := s.linkDrained
-	for c := range s.links {
+	drained := s.connsDrained
+	for c := range s.conns {
 		c.Interrupt()
 	}
-	s.linkMu.Unlock()
+	s.connMu.Unlock()
 	select {
 	case <-drained:
 		return nil
 	case <-ctx.Done():
-		s.CloseLinks()
+		s.CloseConns()
 		return ctx.Err()
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
@@ -59,41 +57,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	telemetry.WriteJSON(w, code, v)
 }
 
-// parseTxnQueryLegacy is the url.Values query path, kept for queries
-// outside the fast parser's plain subset (percent escapes, '+', ';').
-// It is the semantic reference the fast parser is fuzzed against. Like
-// URL.Query it keeps what parsed of a query that is partly malformed.
-func parseTxnQueryLegacy(raw string, req *txnRequest) (errMsg string) {
-	q, _ := url.ParseQuery(raw)
-	if v := q.Get("class"); v != "" {
-		req.Class = v
-	}
-	if v := q.Get("shape"); v != "" {
-		req.Shape = v
-	}
-	for _, p := range []struct {
-		name string
-		bad  string
-		dst  *int
-		min  int
-	}{
-		{"k", "bad k", &req.K, 1},
-		{"base", "bad base", &req.Base, 0},
-		{"span", "bad span", &req.Span, 0},
-	} {
-		v := q.Get(p.name)
-		if v == "" {
-			continue
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < p.min {
-			return p.bad
-		}
-		*p.dst = n
-	}
-	return ""
-}
-
 // resolveClass maps a request's class/shape fields to (class index, shape)
 // or an error message for a 400. Shape "" means "sample from the mix".
 func (s *Server) resolveClass(req txnRequest) (ci int, shape string, errMsg string) {
@@ -123,8 +86,9 @@ func (s *Server) resolveClass(req txnRequest) (ci int, shape string, errMsg stri
 }
 
 // txnResult is what one transaction answers, independent of the wire it
-// arrived on: the HTTP adapter turns it into a status line and headers,
-// the link adapter into a response frame, and neither looks inside.
+// arrived on: the net/http adapter turns it into a status line and
+// headers, the front door into the same answer rendered by hand, the link
+// adapter into a response frame, and none looks inside.
 type txnResult struct {
 	// status is the HTTP status code; 0 means the caller went away and
 	// nothing is to be written.
@@ -141,6 +105,10 @@ type txnResult struct {
 	// body aliases the scratch's render buffer.
 	body []byte
 }
+
+// allowPost is the Allow header of /txn's 405 (RFC 9110 §15.5.6). The
+// slice is shared by every such answer: net/http only reads it.
+var allowPost = []string{http.MethodPost}
 
 const (
 	contentJSON = "application/json"
@@ -159,15 +127,18 @@ func (sc *txnScratch) fail(code int, msg, detail string) txnResult {
 	return txnResult{status: code, contentType: contentText, body: sc.buf}
 }
 
-// closeWatcher is how a request that did not arrive over HTTP tells a
-// queued admission that its caller hung up (link.Request implements it).
-// An HTTP request carries the same fact in its context and passes nil.
+// closeWatcher is how a request whose context never ends tells a queued
+// admission that its caller hung up: link.Request and the front door's
+// doorConn implement it. A net/http request carries the same fact in its
+// context and passes nil. runTxn calls stop once the wait is over; the
+// door's stop does nothing and the door ends the watch itself once runTxn
+// has returned (doorConn.WatchClose says why).
 type closeWatcher interface {
 	WatchClose(cancel context.CancelFunc) (stop func())
 }
 
 // runTxn is the /txn data path, whichever wire the request came in on:
-// parse (fast parser, legacy fallback, JSON body), class resolution,
+// parse (query and JSON body), class resolution,
 // tracing, admission, the execute/retry loop, accounting and the rendered
 // answer. With admission, execution and response in one function it is
 // the tree's hottest code. The steady state allocates nothing of its own:
@@ -176,25 +147,26 @@ type closeWatcher interface {
 // the admission happy path skips the cancellable context entirely via
 // AcquireFast.
 //
-// rawQuery may alias a buffer the caller reuses once runTxn returns;
-// nothing retains it. body is nil when the request has none. traceID 0
+// rawQuery may alias a buffer the caller reuses once runTxn returns, or
+// the one body is read through; it is copied first and nothing retains
+// it. body is nil when the request has none. traceID 0
 // means the caller propagated none. ctx ends when the caller is known to
-// be gone; cw, when non-nil, is armed only around a contended admission
+// be gone; cw, when non-nil, is armed only at a contended admission
 // wait — the one place a request blocks for long.
 //
 //loadctl:hotpath
 func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, body io.Reader, traceID uint64, cw closeWatcher) txnResult {
 	req := &sc.req
+	// The query is copied before the body is read: rawQuery may alias the
+	// buffer the body arrives through (the front door's), and the copy is
+	// what parseTxnQuery decodes in place.
+	sc.query = append(sc.query[:0], rawQuery...)
 	if body != nil {
 		if err := json.NewDecoder(body).Decode(req); err != nil { //loadctl:allocok audited: request-body decode, only when a body is present
 			return sc.fail(http.StatusBadRequest, "bad JSON body: ", err.Error()) //loadctl:allocok audited: 400 path for malformed JSON
 		}
 	}
-	if canFastParseQuery(rawQuery) {
-		if errMsg := parseTxnQueryFast(rawQuery, req); errMsg != "" {
-			return sc.fail(http.StatusBadRequest, errMsg, "")
-		}
-	} else if errMsg := parseTxnQueryLegacy(rawQuery, req); errMsg != "" { //loadctl:allocok audited: legacy url.Values parse, only for queries with escapes outside the fast parser's plain subset
+	if errMsg := parseTxnQuery(sc.query, req); errMsg != "" {
 		return sc.fail(http.StatusBadRequest, errMsg, "")
 	}
 	if req.K < 0 || req.Base < 0 || req.Span < 0 {
@@ -384,6 +356,7 @@ func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, bo
 //loadctl:hotpath
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
+		w.Header()["Allow"] = allowPost
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
@@ -441,7 +414,7 @@ func (s *Server) ServeLink(req *link.Request, frame []byte) ([]byte, bool) {
 		Status: res.status, TraceID: res.echo, Signal: res.signal,
 		RetryAfter: res.retryAfter, ContentType: res.contentType, Body: res.body,
 	})
-	return frame, !s.linkDraining.Load()
+	return frame, !s.connsDraining.Load()
 }
 
 func msSince(t0 time.Time) float64 { return float64(time.Since(t0)) / float64(time.Millisecond) }

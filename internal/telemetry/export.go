@@ -148,6 +148,7 @@ type MetricsEndpoint struct {
 // ServeHTTP implements http.Handler.
 func (e MetricsEndpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}

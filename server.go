@@ -184,6 +184,11 @@ func (s *Server) BeginDrain() { s.inner.BeginDrain() }
 // the drain from a crash. It supplies a PA controller when cfg.Controller
 // is nil, making loadctl.Serve(ctx, loadctl.ServerConfig{}) a complete
 // adaptive transaction server.
+//
+// POST /txn over HTTP/1.1 is answered by the server's own front door on
+// the listener (see internal/server's FrontDoor); every other request goes
+// to net/http, which serves Handler. Embedders of Handler get the same
+// answers from net/http alone.
 func Serve(ctx context.Context, cfg ServerConfig) error {
 	if cfg.Addr == "" {
 		cfg.Addr = ":8344"
@@ -216,7 +221,7 @@ func Serve(ctx context.Context, cfg ServerConfig) error {
 	}
 	hs := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
+	go func() { errc <- hs.Serve(s.inner.FrontDoor(ln)) }()
 	select {
 	case <-ctx.Done():
 		// Drain, don't drop. First a lame-duck window: keep accepting
@@ -243,10 +248,11 @@ func Serve(ctx context.Context, cfg ServerConfig) error {
 		if err := hs.Shutdown(shutdownCtx); err != nil {
 			return err
 		}
-		// Shutdown does not know the proxies' link connections (they are
-		// hijacked): give their in-flight transactions what is left of the
-		// drain, then close them.
-		return s.inner.DrainLinks(shutdownCtx)
+		// Shutdown knows neither the proxies' link connections (they are
+		// hijacked) nor the front door's (net/http never saw them): give
+		// their in-flight transactions what is left of the drain, then
+		// close them.
+		return s.inner.DrainConns(shutdownCtx)
 	case err := <-errc:
 		return err
 	}

@@ -1,6 +1,7 @@
 package loadctl_test
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"io"
@@ -149,6 +150,8 @@ func TestPublicServerGroupCommit(t *testing.T) {
 // in flight when the context is cancelled (the SIGTERM path); the server
 // must advertise "draining", finish the in-flight work, and return nil —
 // the exit-0 contract the cluster tier's kill/restart scenarios rely on.
+// The front door's connections, which net/http's Shutdown cannot see,
+// drain too: an idle one is closed, a busy one answers first.
 func TestServeGracefulDrain(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -179,6 +182,29 @@ func TestServeGracefulDrain(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	// Two raw connections on the front door: one idle after a served
+	// request, and one in flight, its body still arriving when the drain
+	// begins.
+	dial := func() (net.Conn, *bufio.Reader) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		_ = nc.SetDeadline(time.Now().Add(15 * time.Second))
+		return nc, bufio.NewReader(nc)
+	}
+	idle, idleR := dial()
+	io.WriteString(idle, "POST /txn?k=2 HTTP/1.1\r\nHost: "+addr+"\r\n\r\n")
+	if resp, err := http.ReadResponse(idleR, nil); err != nil || resp.StatusCode != http.StatusOK || resp.Close {
+		t.Fatalf("keep-alive request on the front door: %v, %v", resp, err)
+	} else {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	busy, busyR := dial()
+	io.WriteString(busy, "POST /txn HTTP/1.1\r\nHost: "+addr+"\r\nContent-Length: 7\r\n\r\n{\"k\":")
+
 	// A large transaction in flight across the cancellation: k touches
 	// every item several times over to stretch execution a little.
 	inflight := make(chan int, 1)
@@ -200,6 +226,15 @@ func TestServeGracefulDrain(t *testing.T) {
 		// listener teardown before being accepted; an accepted request
 		// must complete.
 		t.Fatalf("in-flight txn during drain = %d", code)
+	}
+	// The drain ends the idle door connection and waits for the busy one,
+	// which then answers — and says it closes.
+	if n, err := idleR.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("idle front-door connection during the drain: read %d bytes, %v; want EOF", n, err)
+	}
+	io.WriteString(busy, "2}")
+	if resp, err := http.ReadResponse(busyR, nil); err != nil || resp.StatusCode != http.StatusOK || !resp.Close {
+		t.Fatalf("front-door request in flight across the drain: %v, %v; want 200 with Connection: close", resp, err)
 	}
 	select {
 	case err := <-served:
