@@ -25,9 +25,10 @@
 // shutdown) is taken out of rotation without being counted as failed.
 //
 // The hop to a backend is an http.RoundTripper the relay path does not
-// look inside. By default it is a link.Transport: a persistent framed
-// connection negotiated per backend, HTTP for backends that refuse it
-// (see internal/link); Config.Transport pins any other.
+// look inside. By default it is a link.Transport, which writes each
+// routed /txn as a plain HTTP/1.1 request on a pooled keep-alive
+// connection to the backend's front door (see internal/link);
+// Config.Transport pins any other.
 //
 // Endpoints: POST /txn (the routed data path), GET /metrics (Prometheus
 // text, ?format=json for a snapshot — the same dual-format contract as
@@ -103,9 +104,8 @@ type Config struct {
 	ReqTrace reqtrace.Config
 	// Transport overrides the outbound transport: the proxy then uses
 	// exactly this for relays and health probes (tests, decorated
-	// transports). The default is a link.Transport, which negotiates the
-	// framed proxy⇄backend wire per backend and falls back to HTTP for
-	// backends that do not speak it.
+	// transports). The default is a link.Transport, which sends routed
+	// transactions itself and everything else through net/http.
 	Transport http.RoundTripper
 }
 

@@ -52,10 +52,5 @@ func assertProxyExportsAgree(t *testing.T, p *Proxy) {
 		check(label("loadctlproxy_backend_inflight"), float64(bs.Inflight))
 		check(label("loadctlproxy_backend_score"), bs.Score)
 		check(label("loadctlproxy_backend_ewma_latency_seconds"), bs.EWMALatencySeconds)
-		link := 0.0
-		if bs.Wire == WireLink {
-			link = 1
-		}
-		check(label("loadctlproxy_backend_link"), link)
 	}
 }

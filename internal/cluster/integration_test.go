@@ -94,12 +94,12 @@ func (b *testBackend) serve(ln net.Listener) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.hs = &http.Server{Handler: b.srv.Handler()}
-	go func(hs *http.Server) { _ = hs.Serve(ln) }(b.hs)
+	go func(hs *http.Server) { _ = hs.Serve(b.srv.FrontDoor(ln)) }(b.hs)
 }
 
 // kill closes the listener and every open connection — an abrupt crash,
-// not a drain. The proxy's link connections are hijacked, so http.Server
-// no longer knows them: the server severs those itself.
+// not a drain. The front door's connections were never http.Server's: the
+// server severs those itself.
 func (b *testBackend) kill() {
 	b.mu.Lock()
 	hs := b.hs

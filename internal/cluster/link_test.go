@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,9 +17,9 @@ import (
 	"github.com/tpctl/loadctl/internal/server"
 )
 
-// These tests pin the link's semantics where they matter: seen from the
-// proxy's handler, against real server.Server backends, with the default
-// (negotiated) transport.
+// These tests pin the hop's semantics where they matter: seen from the
+// proxy's handler, against real server.Server backends behind their front
+// doors, with the default transport.
 
 // hookEngine runs fn on every Exec: block, sever the wire, or nothing.
 type hookEngine struct {
@@ -38,7 +39,8 @@ func (e *hookEngine) Exec(ctx context.Context, _ server.TxnSpec) error {
 	return nil
 }
 
-// linkBackend is a real server.Server on an httptest listener.
+// linkBackend is a real server.Server behind its front door on an
+// httptest listener.
 type linkBackend struct {
 	srv *server.Server
 	ts  *httptest.Server
@@ -61,7 +63,9 @@ func startLinkBackend(t *testing.T, mutate func(*server.Config)) *linkBackend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &linkBackend{srv: srv, eng: eng, ts: httptest.NewServer(srv.Handler())}
+	b := &linkBackend{srv: srv, eng: eng, ts: httptest.NewUnstartedServer(srv.Handler())}
+	b.ts.Listener = srv.FrontDoor(b.ts.Listener)
+	b.ts.Start()
 	t.Cleanup(func() {
 		srv.Close()
 		b.ts.Close()
@@ -94,30 +98,49 @@ func assertDoors(t *testing.T, p *Proxy) {
 func TestLinkIsTheDefaultWire(t *testing.T) {
 	b := startLinkBackend(t, nil)
 	p, ts := passiveProxy(t, Config{Backends: []string{b.ts.URL}})
-	if w := p.SnapshotNow().Backends[0].Wire; w != WireHTTP {
-		t.Fatalf("wire before any routed transaction = %q, want http", w)
-	}
 	for i := 0; i < 5; i++ {
 		if resp := postTxn(t, ts, "?shape=update&k=2"); resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
 	}
 	snap := p.SnapshotNow()
-	if snap.Backends[0].Wire != WireLink || snap.LinkDials != 1 || snap.LinkIdleConns != 1 {
-		t.Fatalf("five sequential requests: wire %q, %d dials, %d idle; want link, 1, 1", snap.Backends[0].Wire, snap.LinkDials, snap.LinkIdleConns)
+	if snap.LinkDials != 1 || snap.LinkIdleConns != 1 {
+		t.Fatalf("five sequential requests: %d dials, %d idle; want 1, 1", snap.LinkDials, snap.LinkIdleConns)
 	}
-	if got := b.srv.SnapshotNow(false); got.LinkConns != 1 || got.Totals.Commits != 5 {
-		t.Fatalf("backend: %d link conns, %d commits; want 1, 5", got.LinkConns, got.Totals.Commits)
+	if got := b.srv.SnapshotNow(false); got.DoorConns != 1 || got.Totals.Commits != 5 {
+		t.Fatalf("backend: %d door conns, %d commits; want 1, 5", got.DoorConns, got.Totals.Commits)
 	}
 	if snap.Backends[0].Signal == nil {
-		t.Fatal("load signal did not ride the link")
+		t.Fatal("load signal did not ride the hop")
 	}
 	assertProxyExportsAgree(t, p)
 	assertDoors(t, p)
 }
 
-// TestLinkRefusedDialFailsOver: a refused dial on the link is the same
-// retriable dial error it was over HTTP, and the retry keeps the trace ID.
+// TestLinkLongQueryUsesFallback: a query too long for the door's head
+// budget is relayed over the HTTP fallback and answered, and the next
+// request still reaches the door over the same pooled connection.
+func TestLinkLongQueryUsesFallback(t *testing.T) {
+	b := startLinkBackend(t, nil)
+	p, ts := passiveProxy(t, Config{Backends: []string{b.ts.URL}})
+	if resp := postTxn(t, ts, "?k=2"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first request: %d", resp.StatusCode)
+	}
+	if resp := postTxn(t, ts, "?k=2&pad="+strings.Repeat("x", 5<<10)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("5 KiB query: %d", resp.StatusCode)
+	}
+	if resp := postTxn(t, ts, "?k=2"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the long one: %d", resp.StatusCode)
+	}
+	snap := p.SnapshotNow()
+	if got := b.srv.SnapshotNow(false); snap.LinkDials != 1 || snap.LinkIdleConns != 1 || got.DoorConns != 1 || got.Totals.Commits != 3 {
+		t.Fatalf("%d dials, %d idle, %d door conns, %d commits; want 1, 1, 1, 3", snap.LinkDials, snap.LinkIdleConns, got.DoorConns, got.Totals.Commits)
+	}
+	assertDoors(t, p)
+}
+
+// TestLinkRefusedDialFailsOver: a refused dial on the hop is a retriable
+// dial error, and the retry keeps the trace ID.
 func TestLinkRefusedDialFailsOver(t *testing.T) {
 	b1 := startLinkBackend(t, func(c *server.Config) { c.ReqTrace = reqtrace.Config{SampleEvery: 1} })
 	p, ts := passiveProxy(t, Config{Backends: []string{deadAddr(t), b1.ts.URL}})
@@ -127,8 +150,8 @@ func TestLinkRefusedDialFailsOver(t *testing.T) {
 		t.Fatalf("failover answer: status %d, want 200", resp.StatusCode)
 	}
 	snap := p.SnapshotNow()
-	if snap.Totals.Retries != 1 || snap.Totals.Failed != 0 || snap.Backends[0].State != StateDead || snap.Backends[1].Wire != WireLink {
-		t.Fatalf("after failover: %+v, backend 0 %s, backend 1 wire %s", snap.Totals, snap.Backends[0].State, snap.Backends[1].Wire)
+	if snap.Totals.Retries != 1 || snap.Totals.Failed != 0 || snap.Backends[0].State != StateDead || snap.LinkDials != 1 {
+		t.Fatalf("after failover: %+v, backend 0 %s, %d dials", snap.Totals, snap.Backends[0].State, snap.LinkDials)
 	}
 	tr := findTrace(p.Requests().Dump().Ring, id)
 	if tr == nil || tr.Status != reqtrace.StatusRelayed {
@@ -144,13 +167,13 @@ func TestLinkRefusedDialFailsOver(t *testing.T) {
 		t.Fatalf("relay spans %v, want [dial-error relayed]", details)
 	}
 	if findTrace(b1.srv.Requests().Dump().Ring, id) == nil {
-		t.Fatalf("backend 1 has no trace %s: the ID did not cross the link", id)
+		t.Fatalf("backend 1 has no trace %s: the ID did not cross the hop", id)
 	}
 	assertDoors(t, p)
 }
 
 // TestLinkIdleConnectionsClosedByBackend: a backend that dropped its idle
-// link connections (restart, drain) is re-dialled before a byte of the
+// hop connections (restart, drain) is re-dialled before a byte of the
 // next request is written — no 502, no dead mark.
 func TestLinkIdleConnectionsClosedByBackend(t *testing.T) {
 	b := startLinkBackend(t, nil)
@@ -159,7 +182,7 @@ func TestLinkIdleConnectionsClosedByBackend(t *testing.T) {
 		t.Fatalf("first request: %d", resp.StatusCode)
 	}
 	b.srv.CloseConns()
-	waitFor(t, "backend link connections gone", func() bool { return b.srv.LinkConns() == 0 })
+	waitFor(t, "backend door connections gone", func() bool { return b.srv.DoorConns() == 0 })
 	if resp := postTxn(t, ts, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after the backend closed its idle connections: %d, want 200", resp.StatusCode)
 	}
@@ -170,7 +193,7 @@ func TestLinkIdleConnectionsClosedByBackend(t *testing.T) {
 }
 
 // TestLinkBreakAfterWriteNotReplayed: the connection breaks once the
-// request frame is at the backend. The transaction ran there, so the
+// request is at the backend. The transaction ran there, so the
 // proxy must answer 502, end the trace in an error span, and not run it
 // again on the other backend: the fleet's commit total stays at one.
 func TestLinkBreakAfterWriteNotReplayed(t *testing.T) {
@@ -272,10 +295,10 @@ func TestLinkCancelWhileQueued(t *testing.T) {
 	assertDoors(t, p)
 }
 
-// TestLinkHTTPOnlyBackendFallsBack: a backend that answers the upgrade in
-// plain HTTP keeps being served over HTTP, and every request still leaves
-// through exactly one door.
-func TestLinkHTTPOnlyBackendFallsBack(t *testing.T) {
+// TestLinkPlainHTTPBackendServes: a backend served by plain net/http,
+// without a front door, answers the hop's raw requests too, and every
+// request still leaves through exactly one door.
+func TestLinkPlainHTTPBackendServes(t *testing.T) {
 	b0 := newStub(t, okSignal())
 	b1 := startLinkBackend(t, nil)
 	p, ts := passiveProxy(t, Config{Backends: []string{b0.ts.URL, b1.ts.URL}})
@@ -285,19 +308,93 @@ func TestLinkHTTPOnlyBackendFallsBack(t *testing.T) {
 		}
 	}
 	snap := p.SnapshotNow()
-	if snap.Backends[0].Wire != WireHTTP || snap.Backends[1].Wire != WireLink {
-		t.Fatalf("wires %q/%q, want http/link", snap.Backends[0].Wire, snap.Backends[1].Wire)
-	}
-	if b0.txns.Load() != 5 || b1.totals().Commits != 5 || snap.Totals.Relayed != 10 || snap.Totals.Retries != 0 {
-		t.Fatalf("stub served %d, link backend %d, totals %+v", b0.txns.Load(), b1.totals().Commits, snap.Totals)
+	if b0.txns.Load() != 5 || b1.totals().Commits != 5 || snap.Totals.Relayed != 10 || snap.Totals.Retries != 0 || snap.LinkDials != 2 {
+		t.Fatalf("stub served %d, door backend %d, totals %+v, %d dials", b0.txns.Load(), b1.totals().Commits, snap.Totals, snap.LinkDials)
 	}
 	assertProxyExportsAgree(t, p)
 	assertDoors(t, p)
 }
 
+// TestLinkLongRejectionsRelayed: a 400 for a request as large as the proxy
+// takes is relayed whole, and the backend stays in rotation — the answer
+// is not a failed exchange. The two bodies are a 1 MiB class name of a
+// character %q escapes at twice its size, and a 1 MiB number the JSON
+// decoder quotes in its error.
+func TestLinkLongRejectionsRelayed(t *testing.T) {
+	b := startLinkBackend(t, nil)
+	p, ts := passiveProxy(t, Config{Backends: []string{b.ts.URL}})
+	bodies := map[string]string{
+		"class":  `{"class":"` + strings.Repeat("\u200b", (1<<20-12)/3) + `"}`,
+		"number": `{"k":` + strings.Repeat("9", 1<<20-6) + `}`,
+	}
+	for name, body := range bodies {
+		if len(body) > 1<<20 {
+			t.Fatalf("%s: %d-byte body is over the proxy's MaxBodyBytes", name, len(body))
+		}
+		resp, err := http.Post(ts.URL+"/txn", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || len(got) > 1<<10 {
+			t.Fatalf("%s: status %d, %d-byte answer; want a short 400", name, resp.StatusCode, len(got))
+		}
+	}
+	if resp := postTxn(t, ts, "?k=2"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the rejections: status %d", resp.StatusCode)
+	}
+	snap := p.SnapshotNow()
+	if snap.Backends[0].State != StateUp || snap.Totals.Failed != 0 || snap.LinkDials != 1 {
+		t.Fatalf("backend %s, %d failed, %d dials; want up, 0, 1", snap.Backends[0].State, snap.Totals.Failed, snap.LinkDials)
+	}
+	assertDoors(t, p)
+}
+
+// TestLinkPlainHTTPBackendLongAnswer: a server.Server an embedder serves
+// with Handler() on plain net/http answers a /txn longer than net/http
+// buffers (a 400 listing long class names) with a Content-Length, not
+// chunked, so the hop relays it and keeps the backend and its connection.
+func TestLinkPlainHTTPBackendLongAnswer(t *testing.T) {
+	long := strings.Repeat("c", 1000)
+	srv, err := server.New(server.Config{
+		Controller: core.NewStatic(8),
+		Engine:     &hookEngine{},
+		Items:      64,
+		Interval:   time.Hour,
+		Classes:    []server.ClassConfig{{Name: long + "1"}, {Name: long + "2"}, {Name: long + "3"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		bts.Close()
+		srv.Close()
+	})
+	p, ts := passiveProxy(t, Config{Backends: []string{bts.URL}})
+	resp, err := http.Post(ts.URL+"/txn?class="+strings.Repeat("x", 3<<10), "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || len(got) <= 2<<10 || !strings.Contains(string(got), "unknown class") {
+		t.Fatalf("status %d, %d-byte answer %.80q; want a 400 over 2 KiB", resp.StatusCode, len(got), got)
+	}
+	if resp := postTxn(t, ts, "?class="+long+"2&k=2"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the long answer: status %d", resp.StatusCode)
+	}
+	snap := p.SnapshotNow()
+	if snap.Backends[0].State != StateUp || snap.Totals.Failed != 0 || snap.LinkDials != 1 {
+		t.Fatalf("backend %s, %d failed, %d dials; want up, 0, 1", snap.Backends[0].State, snap.Totals.Failed, snap.LinkDials)
+	}
+	assertDoors(t, p)
+}
+
 // TestUncontrolledBackendIsRoutable: a -controller none backend has a +Inf
 // limit. Its /healthz must still be a parseable signal so the health loop
-// keeps it alive, and it serves over the link like any other.
+// keeps it alive, and it serves over the hop like any other.
 func TestUncontrolledBackendIsRoutable(t *testing.T) {
 	b := startLinkBackend(t, func(c *server.Config) { c.Controller = core.NoControl() })
 	p := newTestProxy(t, Config{Backends: []string{b.ts.URL}, DeadAfter: 1})
@@ -314,8 +411,8 @@ func TestUncontrolledBackendIsRoutable(t *testing.T) {
 	if resp := postTxn(t, ts, "?k=2"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("routed transaction: %d", resp.StatusCode)
 	}
-	if w := p.SnapshotNow().Backends[0].Wire; w != WireLink {
-		t.Fatalf("wire %q, want link", w)
+	if d := p.SnapshotNow().LinkDials; d != 1 {
+		t.Fatalf("%d hop dials, want 1", d)
 	}
 	// The proxy's own JSON snapshot carries that +Inf signal and must
 	// still encode.

@@ -1,4 +1,4 @@
-package link
+package link_test
 
 import (
 	"context"
@@ -6,25 +6,25 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"github.com/tpctl/loadctl/internal/link"
 )
 
 // BenchmarkLinkHop prices the proxy⇄backend hop on real loopback sockets,
 // one closed-loop caller, a /txn-sized request and answer, both ends in
 // this process:
 //
-//	link  Transport → Accept/ServerConn.Serve
+//	link  Transport → a server.Server's front door
 //	http  http.Transport → net/http server (what the hop was before)
 //
-// The handler does no work, so the figure is the wire alone. The request
-// carries a cancellable context, as every request cluster.forward relays
-// does, so the link row includes what honouring a cancel costs: the
-// allocations of context.AfterFunc (see conn.roundTrip), which are all the
-// link round trip allocates. CI gates that count exactly.
+// The link row's backend runs the real /txn path over an engine that
+// commits at once, so the figure is the wire plus the door and the
+// transaction path's bookkeeping. The request carries a cancellable
+// context, as every request cluster.forward relays does, so the link row
+// includes what honouring a cancel costs: the allocations of
+// context.AfterFunc (see conn.roundTrip), which are all the round trip
+// allocates. CI gates that count exactly.
 func BenchmarkLinkHop(b *testing.B) {
-	e := &echo{}
-	sig := "status=ok;limit=64;active=1;queued=0;util=0.0156;default=default"
-	e.signal.Store(&sig)
-
 	run := func(b *testing.B, rt http.RoundTripper, url string) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -44,20 +44,21 @@ func BenchmarkLinkHop(b *testing.B) {
 		}
 	}
 	b.Run("link", func(b *testing.B) {
-		backend := newLinkBackend(b, allocFree{e})
-		tr := NewTransport()
+		backend := newBackend(b, nil)
+		tr := link.NewTransport()
 		defer tr.CloseIdleConnections()
-		run(b, tr, backend.ts.URL)
+		run(b, tr, backend.url)
 	})
 	b.Run("http", func(b *testing.B) {
+		body := []byte(`{"status":"committed","class":"update","admission_class":"default","attempts":1,"latency_ms":0.0123}` + "\n")
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			h := w.Header()
 			h.Set("Content-Type", "application/json")
-			h.Set("X-Loadctl-Load", sig)
-			_, _ = w.Write(cannedBody)
+			h.Set("X-Loadctl-Load", "status=ok;limit=64;active=1;queued=0;util=0.0156;default=default")
+			_, _ = w.Write(body)
 		}))
 		defer ts.Close()
-		tr := &http.Transport{MaxIdleConnsPerHost: maxIdle}
+		tr := &http.Transport{MaxIdleConnsPerHost: 256}
 		defer tr.CloseIdleConnections()
 		run(b, tr, ts.URL)
 	})

@@ -1,7 +1,6 @@
 package link
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,11 +23,12 @@ import (
 const maxIdle = 256
 
 // Transport is the proxy's outbound http.RoundTripper. A POST /txn over
-// plain http with a body of known length within MaxBody crosses the link;
-// everything else — health probes, oversized or chunked bodies, backends
-// that refused the upgrade — goes through HTTP unchanged.
+// plain http with a body of known length within MaxBody and a head within
+// HeadBudget goes out raw on a pooled connection; everything else —
+// health probes, oversized or chunked bodies, overlong queries — goes
+// through an embedded http.Transport unchanged.
 //
-// The *http.Response of a link round trip, its header map and its body
+// The *http.Response of a raw round trip, its header map and its body
 // belong to the connection and are reused: they are valid until
 // Body.Close, which returns the connection to the pool. That is how
 // cluster.forward already uses a response, and it leaves the round trip
@@ -50,37 +51,22 @@ func NewTransport() *Transport {
 
 // host is one backend as the transport knows it.
 type host struct {
-	addr string
-
-	// httpOnly is set when the backend answered the upgrade with anything
-	// but 101, and cleared at its next dead→alive transition: the moment a
-	// different binary may be listening. The transport sees that
-	// transition itself, because the health loop's probes pass through
-	// it — down is set by any exchange that failed at the connection
-	// level, and the first one to succeed afterwards clears both.
-	httpOnly atomic.Bool
-	down     atomic.Bool
-	// linked is true once an upgrade succeeded and until one is refused.
-	linked atomic.Bool
-	dials  atomic.Uint64 // connections that completed the upgrade
+	addr  string
+	dials atomic.Uint64 // connections dialled
 
 	mu   sync.Mutex
 	idle []*conn // LIFO: the most recently used connection is reused first
 }
 
-// HostStats is what the transport knows about one backend's wire.
+// HostStats is what the transport knows about one backend's connections.
 type HostStats struct {
-	// Link is true when routed transactions to the backend cross the
-	// link: its last upgrade succeeded. False before the first routed
-	// transaction and for an HTTP-only backend.
-	Link bool
-	// Dials counts link connections established since start.
+	// Dials counts connections dialled for raw round trips since start.
 	Dials uint64
-	// Idle is the number of pooled idle link connections.
+	// Idle is the number of pooled idle connections.
 	Idle int
 }
 
-// Stats reports the wire state of the backend at hostport (a URL's Host).
+// Stats reports the pool of the backend at hostport (a URL's Host).
 func (t *Transport) Stats(hostport string) HostStats {
 	t.mu.RLock()
 	h := t.hosts[hostport]
@@ -91,10 +77,10 @@ func (t *Transport) Stats(hostport string) HostStats {
 	h.mu.Lock()
 	idle := len(h.idle)
 	h.mu.Unlock()
-	return HostStats{Link: h.linked.Load(), Dials: h.dials.Load(), Idle: idle}
+	return HostStats{Dials: h.dials.Load(), Idle: idle}
 }
 
-// CloseIdleConnections closes the pooled link connections and the HTTP
+// CloseIdleConnections closes the pooled connections and the HTTP
 // fallback's; connections carrying a request are untouched.
 func (t *Transport) CloseIdleConnections() {
 	t.mu.RLock()
@@ -128,65 +114,44 @@ func (t *Transport) host(addr string) *host {
 	return h
 }
 
-// linkable reports whether req can cross the link: a routed transaction
-// whose body length is known and fits a frame.
+// headFixed is the longest head appendHead writes less its host and
+// query: the request line, a Content-Length of MaxBody and a trace ID.
+const headFixed = len("POST /txn? HTTP/1.1\r\nHost: \r\nContent-Length: 1048576\r\n" +
+	reqtrace.Header + ": 0123456789abcdef\r\n\r\n")
+
+// linkable reports whether req goes out raw: a routed transaction whose
+// body length is known and within MaxBody, whose head fits HeadBudget,
+// and whose query the door takes as it is (visible ASCII).
 //
 //loadctl:hotpath
 func linkable(req *http.Request) bool {
 	u := req.URL
-	return req.Method == http.MethodPost && u.Scheme == "http" && u.Path == "/txn" &&
-		req.ContentLength >= 0 && req.ContentLength <= MaxBody && len(u.RawQuery) <= maxQuery
+	if req.Method != http.MethodPost || u.Scheme != "http" || u.Path != "/txn" ||
+		req.ContentLength < 0 || req.ContentLength > MaxBody ||
+		headFixed+len(u.Host)+len(u.RawQuery) > HeadBudget {
+		return false
+	}
+	for i := 0; i < len(u.RawQuery); i++ {
+		if c := u.RawQuery[i]; c <= ' ' || c >= 0x7f {
+			return false
+		}
+	}
+	return true
 }
 
 // RoundTrip implements http.RoundTripper.
 //
 //loadctl:hotpath
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	h := t.host(req.URL.Host)
-	if !linkable(req) || h.httpOnly.Load() {
-		return t.viaHTTP(h, req)
+	if !linkable(req) {
+		return t.fallback.RoundTrip(req)
 	}
-	c, err := t.conn(req.Context(), h)
-	if err == errRefused {
-		// The backend answered the upgrade in plain HTTP: it is alive and
-		// nothing but GET /link was sent, so this request goes the old way.
-		h.httpOnly.Store(true)
-		h.linked.Store(false)
-		return t.viaHTTP(h, req)
-	}
+	c, err := t.conn(req.Context(), t.host(req.URL.Host))
 	if err != nil {
-		h.seen(req.Context(), err)
 		closeBody(req)
 		return nil, err
 	}
-	resp, err := c.roundTrip(req)
-	h.seen(req.Context(), err)
-	return resp, err
-}
-
-//loadctl:hotpath
-func (t *Transport) viaHTTP(h *host, req *http.Request) (*http.Response, error) {
-	resp, err := t.fallback.RoundTrip(req)
-	h.seen(req.Context(), err)
-	return resp, err
-}
-
-// seen folds one exchange's outcome into the host's dead→alive tracking.
-// A failure the caller's own cancellation caused says nothing about the
-// backend.
-//
-//loadctl:hotpath
-func (h *host) seen(ctx context.Context, err error) {
-	if err != nil {
-		if ctx.Err() == nil {
-			h.down.Store(true)
-		}
-		return
-	}
-	if h.down.Load() {
-		h.down.Store(false)
-		h.httpOnly.Store(false)
-	}
+	return c.roundTrip(req)
 }
 
 //loadctl:hotpath
@@ -195,10 +160,6 @@ func closeBody(req *http.Request) {
 		req.Body.Close()
 	}
 }
-
-// errRefused is conn's answer for a backend that speaks HTTP but not the
-// link.
-var errRefused = errors.New("link: upgrade refused")
 
 // conn returns a connection ready for one request: the most recently
 // idled one that passes the liveness probe, else a fresh one. Idle
@@ -227,31 +188,14 @@ func (t *Transport) conn(ctx context.Context, h *host) (*conn, error) {
 	return t.dial(ctx, h) //loadctl:allocok audited: a new connection — pool miss, amortised over the connection's life
 }
 
-// dial connects and negotiates the upgrade. A refused or failed connect
-// is returned as the *net.OpError{Op: "dial"} it is. A handshake that
-// breaks is wrapped as one too: only GET /link was sent, the transaction
-// never left, and to the proxy's failover both mean "never reached the
-// backend". A well-formed HTTP answer other than 101 is errRefused.
+// dial connects to the backend. A refused or failed connect is returned
+// as the *net.OpError{Op: "dial"} it is: nothing was sent.
 func (t *Transport) dial(ctx context.Context, h *host) (*conn, error) {
 	nc, err := t.dialer.DialContext(ctx, "tcp", h.addr)
 	if err != nil {
 		return nil, err
 	}
-	stop := context.AfterFunc(ctx, func() { nc.Close() })
-	err = handshake(nc, h.addr)
-	if !stop() {
-		nc.Close()
-		return nil, ctx.Err()
-	}
-	if err != nil {
-		nc.Close()
-		if err != errRefused {
-			err = &net.OpError{Op: "dial", Net: "tcp", Addr: nc.RemoteAddr(), Err: err}
-		}
-		return nil, err
-	}
 	h.dials.Add(1)
-	h.linked.Store(true)
 	c := &conn{h: h, nc: nc, hdr: make(http.Header, 4)}
 	c.abort = func() { c.nc.Close() }
 	c.body.c = c
@@ -264,29 +208,7 @@ func (t *Transport) dial(ctx context.Context, h *host) (*conn, error) {
 	return c, nil
 }
 
-// handshake sends the upgrade request on nc and reads the answer.
-func handshake(nc net.Conn, hostport string) error {
-	_, err := io.WriteString(nc, "GET "+Path+" HTTP/1.1\r\nHost: "+hostport+
-		"\r\nConnection: Upgrade\r\nUpgrade: "+Proto+"\r\n\r\n")
-	if err != nil {
-		return fmt.Errorf("link handshake: %w", err)
-	}
-	br := bufio.NewReader(nc)
-	resp, err := http.ReadResponse(br, nil)
-	if err != nil {
-		return fmt.Errorf("link handshake: %w", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusSwitchingProtocols || !strings.EqualFold(resp.Header.Get("Upgrade"), Proto) {
-		return errRefused
-	}
-	if br.Buffered() > 0 {
-		return fmt.Errorf("link handshake: %w", ErrPipelined)
-	}
-	return nil
-}
-
-// conn is the proxy end of one link connection, with everything a round
+// conn is the proxy end of one hop connection, with everything a round
 // trip needs preallocated on it.
 type conn struct {
 	h  *host
@@ -301,21 +223,21 @@ type conn struct {
 	abort func() // closes nc: the context.AfterFunc callback
 
 	rbuf, wbuf []byte
-	fr         Response // the decoded answer frame
+	ans        answer // the parsed answer
 
 	// The last header values, kept as real strings: a backend rebuilds its
 	// load signal once per control interval, so consecutive answers carry
 	// identical bytes, cost no allocation here, and hand cluster.ingest the
 	// byte-identical string its sigRaw fast path compares against.
-	sig, retry, ctype string
+	vals [numKept]string
 
 	res  http.Response
 	hdr  http.Header
-	vals [4][1]string // backing for the header map's one-element values
+	one  [numKept][1]string // backing for the header map's one-element values
 	body body
 }
 
-// body is a link response's Body.
+// body is a raw round trip's response Body.
 type body struct {
 	c    *conn
 	b    []byte
@@ -340,7 +262,8 @@ func (b *body) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Close returns the connection to its backend's idle pool.
+// Close returns the connection to its backend's idle pool, unless the
+// answer said Connection: close.
 //
 //loadctl:hotpath
 func (b *body) Close() error {
@@ -349,6 +272,9 @@ func (b *body) Close() error {
 	}
 	b.open = false
 	c := b.c
+	if c.ans.close {
+		return c.nc.Close()
+	}
 	c.rbuf, c.wbuf = trim(c.rbuf), trim(c.wbuf)
 	h := c.h
 	h.mu.Lock()
@@ -363,20 +289,10 @@ func (b *body) Close() error {
 	return nil
 }
 
-// keep returns prev when it already equals the view v, else a copy of v.
-//
-//loadctl:hotpath
-func keep(prev, v string) string {
-	if prev == v {
-		return prev
-	}
-	return strings.Clone(v) //loadctl:allocok audited: the header value changed — once per backend control interval for the load signal, shed answers for Retry-After
-}
-
-// roundTrip sends req as one frame and reads the answer. The request's
-// context is honoured by closing the connection, which fails the pending
-// read or write; a connection that was ever aborted, or that still owes
-// an answer, never returns to the pool.
+// roundTrip sends req and reads the answer. The request's context is
+// honoured by closing the connection, which fails the pending read or
+// write; a connection that was ever aborted, or that still owes an
+// answer, never returns to the pool.
 //
 //loadctl:hotpath
 func (c *conn) roundTrip(req *http.Request) (*http.Response, error) {
@@ -399,7 +315,28 @@ func (c *conn) roundTrip(req *http.Request) (*http.Response, error) {
 	return c.response(req), nil
 }
 
-// exchange is the wire half of roundTrip: one write, one read.
+// appendHead appends the head of a routed POST /txn: the request line,
+// Host, Content-Length and, when traced, X-Loadctl-Trace.
+//
+//loadctl:hotpath
+func appendHead(b []byte, host, query string, bodyLen int, traceID uint64) []byte {
+	b = append(b, "POST /txn"...)
+	if query != "" {
+		b = append(b, '?')
+		b = append(b, query...)
+	}
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, host...)
+	b = append(b, "\r\nContent-Length: "...)
+	b = strconv.AppendInt(b, int64(bodyLen), 10)
+	if traceID != 0 {
+		b = append(b, "\r\n"+reqtrace.Header+": "...)
+		b = reqtrace.AppendID(b, traceID)
+	}
+	return append(b, "\r\n\r\n"...)
+}
+
+// exchange is the wire half of roundTrip: one write, then the answer.
 //
 //loadctl:hotpath
 func (c *conn) exchange(req *http.Request) error {
@@ -408,7 +345,7 @@ func (c *conn) exchange(req *http.Request) error {
 	if req.Body == nil {
 		n = 0
 	}
-	c.wbuf = appendRequestHead(c.wbuf[:0], traceID, req.URL.RawQuery, n)
+	c.wbuf = appendHead(c.wbuf[:0], req.URL.Host, req.URL.RawQuery, n, traceID)
 	if n > 0 {
 		head := len(c.wbuf)
 		if cap(c.wbuf) < head+n {
@@ -426,45 +363,251 @@ func (c *conn) exchange(req *http.Request) error {
 	if _, err := c.nc.Write(c.wbuf); err != nil {
 		return err
 	}
-	payload, buf, err := readFrame(c.nc, c.rbuf)
-	c.rbuf = buf
-	if err != nil {
-		return err
-	}
-	return ParseResponse(payload, &c.fr)
+	return c.readAnswer()
 }
 
-// response rebuilds the connection's *http.Response from the decoded
-// frame, with exactly the headers cluster.forward and ingest read.
+// Errors an answer fails with; the request was sent, so the proxy
+// answers 502 and does not replay.
+var (
+	errAnswer = errors.New("link: answer is not a plain HTTP/1.1 answer with one Content-Length")
+	errExtra  = errors.New("link: bytes beyond the answer")
+)
+
+// readAnswer reads one answer into rbuf and parses it into c.ans. The
+// first read asks for everything buffered, so an answer that arrived
+// whole costs one read.
+//
+//loadctl:hotpath
+func (c *conn) readAnswer() error {
+	if cap(c.rbuf) < HeadBudget {
+		c.rbuf = make([]byte, HeadBudget) //loadctl:allocok audited: a connection's first answer, or the first after an oversized buffer was dropped
+	}
+	buf := c.rbuf[:cap(c.rbuf)]
+	n := 0
+	for {
+		m, err := c.nc.Read(buf[n:])
+		n += m
+		done, perr := parseAnswer(buf[:n], &c.ans)
+		if perr != nil {
+			return perr
+		}
+		if done {
+			break
+		}
+		if n >= HeadBudget {
+			return errAnswer // a head longer than the budget
+		}
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	total := c.ans.n + c.ans.bodyLen
+	if n > total {
+		return errExtra
+	}
+	if total > len(buf) {
+		grown := make([]byte, total) //loadctl:allocok audited: an answer beyond the connection's buffer — bodies over 4 KiB only, bounded by MaxAnswer
+		copy(grown, buf[:n])
+		buf = grown
+	}
+	c.rbuf = buf
+	if _, err := io.ReadFull(c.nc, buf[n:total]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	c.ans.body = buf[c.ans.n:total]
+	return nil
+}
+
+// The header values a response carries, in their slots of conn.vals.
+const (
+	keptType = iota
+	keptRetry
+	keptSignal
+	keptTrace
+	numKept
+)
+
+// keptNames are the canonical names of the kept headers.
+var keptNames = [numKept]string{"Content-Type", "Retry-After", loadsig.Header, reqtrace.Header}
+
+// answer is one parsed answer. The strings and body alias the read buffer
+// until the next round trip on the connection.
+type answer struct {
+	status  int
+	n       int // head length, blank line included
+	bodyLen int
+	close   bool            // Connection: close
+	vals    [numKept]string // the first value of each kept header; "" if absent
+	body    []byte
+}
+
+// The header fields parseAnswer acts on besides the kept ones.
+const (
+	fieldLength = numKept + iota
+	fieldEncoding
+	fieldConnection
+	fieldOther
+)
+
+// field classifies a header name: the exact canonical spelling first, as
+// the front door writes it, and a case-insensitive match only on a miss.
+//
+//loadctl:hotpath
+func field(name string) int {
+	switch name {
+	case "Content-Type":
+		return keptType
+	case "Retry-After":
+		return keptRetry
+	case loadsig.Header:
+		return keptSignal
+	case reqtrace.Header:
+		return keptTrace
+	case "Content-Length":
+		return fieldLength
+	case "Connection":
+		return fieldConnection
+	case "Date", "X-Content-Type-Options":
+		return fieldOther
+	}
+	for f, canon := range keptNames {
+		if strings.EqualFold(name, canon) {
+			return f
+		}
+	}
+	switch {
+	case strings.EqualFold(name, "Content-Length"):
+		return fieldLength
+	case strings.EqualFold(name, "Transfer-Encoding"):
+		return fieldEncoding
+	case strings.EqualFold(name, "Connection"):
+		return fieldConnection
+	}
+	return fieldOther
+}
+
+// parseAnswer parses b, the bytes read so far of one answer, into a. It
+// reports done once the head is complete, and fails whatever it is not
+// sure of: it takes only an HTTP/1.1 status line of 200 or above with a
+// body (not 204 or 304), CRLF line ends, header names that are tokens and
+// values of field bytes, none folded, exactly one all-digit
+// Content-Length within MaxAnswer and no Transfer-Encoding. FuzzHopResponse
+// holds it to http.ReadResponse.
+//
+//loadctl:hotpath
+func parseAnswer(b []byte, a *answer) (done bool, err error) {
+	*a = answer{}
+	s := view(b)
+	end := strings.Index(s, "\r\n\r\n")
+	if end < 0 {
+		return false, nil
+	}
+	a.n = end + 4
+	line, rest, _ := strings.Cut(s[:end+2], "\r\n")
+	if len(line) < len("HTTP/1.1 200") || line[:9] != "HTTP/1.1 " ||
+		len(line) > 12 && line[12] != ' ' || !IsFieldValue(line[12:]) {
+		return false, errAnswer
+	}
+	for i := 9; i < 12; i++ {
+		d := line[i]
+		if d < '0' || d > '9' {
+			return false, errAnswer
+		}
+		a.status = a.status*10 + int(d-'0')
+	}
+	if a.status < 200 || a.status == http.StatusNoContent || a.status == http.StatusNotModified {
+		return false, errAnswer
+	}
+	lengths, seen := 0, 0
+	for rest != "" {
+		line, rest, _ = strings.Cut(rest, "\r\n")
+		name, value, ok := strings.Cut(line, ":")
+		if !ok || !IsToken(name) || !IsFieldValue(value) {
+			return false, errAnswer
+		}
+		value = TrimOWS(value)
+		switch f := field(name); f {
+		case fieldLength:
+			lengths++
+			if a.bodyLen, ok = ParseLength(value, MaxAnswer); !ok {
+				return false, errAnswer
+			}
+		case fieldEncoding:
+			return false, errAnswer
+		case fieldConnection:
+			a.close = a.close || hasClose(value)
+		case fieldOther:
+		default:
+			if seen&(1<<f) == 0 { // the first one counts, as with Header.Get
+				seen |= 1 << f
+				a.vals[f] = value
+			}
+		}
+	}
+	if lengths != 1 {
+		return false, errAnswer
+	}
+	return true, nil
+}
+
+// hasClose reports whether a Connection value lists the close token,
+// compared in ASCII case only, as net/http does.
+//
+//loadctl:hotpath
+func hasClose(v string) bool {
+	for v != "" {
+		var tok string
+		tok, v, _ = strings.Cut(v, ",")
+		tok = TrimOWS(tok)
+		if len(tok) != len("close") {
+			continue
+		}
+		match := true
+		for i := 0; i < len(tok); i++ {
+			if tok[i]|0x20 != "close"[i] {
+				match = false
+			}
+		}
+		if match {
+			return true
+		}
+	}
+	return false
+}
+
+// keep returns prev when it already equals the view v, else a copy of v.
+//
+//loadctl:hotpath
+func keep(prev, v string) string {
+	if prev == v {
+		return prev
+	}
+	return strings.Clone(v) //loadctl:allocok audited: the header value changed — once per backend control interval for the load signal, shed answers for Retry-After, head-sampled requests for the trace echo
+}
+
+// response rebuilds the connection's *http.Response from the parsed
+// answer, with exactly the headers cluster.forward and ingest read.
 //
 //loadctl:hotpath
 func (c *conn) response(req *http.Request) *http.Response {
-	fr := &c.fr
 	clear(c.hdr)
-	if fr.ContentType != "" {
-		c.ctype = keep(c.ctype, fr.ContentType)
-		c.setHeader(0, "Content-Type", c.ctype)
+	for f, v := range c.ans.vals {
+		if v != "" {
+			c.vals[f] = keep(c.vals[f], v)
+			c.one[f][0] = c.vals[f]
+			c.hdr[keptNames[f]] = c.one[f][:]
+		}
 	}
-	if fr.RetryAfter != "" {
-		c.retry = keep(c.retry, fr.RetryAfter)
-		c.setHeader(1, "Retry-After", c.retry)
-	}
-	if fr.Signal != "" {
-		c.sig = keep(c.sig, fr.Signal)
-		c.setHeader(2, loadsig.Header, c.sig)
-	}
-	if fr.TraceID != 0 {
-		c.setHeader(3, reqtrace.Header, reqtrace.FormatID(fr.TraceID)) //loadctl:allocok audited: head-sampled requests only — the backend echoes the ID for one request in SampleEvery
-	}
-	c.body.b, c.body.open = fr.Body, true
-	c.res.StatusCode = fr.Status
-	c.res.ContentLength = int64(len(fr.Body))
+	c.body.b, c.body.open = c.ans.body, true
+	c.res.StatusCode = c.ans.status
+	c.res.ContentLength = int64(len(c.ans.body))
+	c.res.Close = c.ans.close
 	c.res.Request = req
 	return &c.res
-}
-
-//loadctl:hotpath
-func (c *conn) setHeader(slot int, key, value string) {
-	c.vals[slot][0] = value
-	c.hdr[key] = c.vals[slot][:]
 }

@@ -18,7 +18,7 @@ func (c *conn) initProbe(raw syscall.RawConn) {
 		case n == 0 && err == nil:
 			c.probeErr = io.EOF // the backend closed its end
 		case n > 0:
-			c.probeErr = ErrPipelined // data nobody asked for
+			c.probeErr = errExtra // data nobody asked for
 		case err == syscall.EAGAIN || err == syscall.EWOULDBLOCK:
 			c.probeErr = nil // open and quiet: the healthy case
 		default:

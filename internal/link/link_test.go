@@ -1,4 +1,4 @@
-package link
+package link_test
 
 import (
 	"bytes"
@@ -7,107 +7,95 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/tpctl/loadctl/internal/core"
+	"github.com/tpctl/loadctl/internal/link"
 	"github.com/tpctl/loadctl/internal/loadsig"
 	"github.com/tpctl/loadctl/internal/reqtrace"
+	"github.com/tpctl/loadctl/internal/server"
 )
 
-// echo is a link.Handler that answers like a healthy backend and records
-// what it was asked: the /txn-sized canned answer the hop benchmark uses.
-type echo struct {
-	signal atomic.Pointer[string]
-	calls  atomic.Uint64
-	// hold, when non-nil, parks the handler behind a close-watcher until
-	// the caller hangs up or release is closed.
-	hold    chan struct{}
-	hungUp  atomic.Uint64
-	lastReq atomic.Pointer[Request]
+// These tests run Transport against the other half of the hop: a real
+// server.Server behind its front door on a loopback listener, served the
+// way loadctl.Serve serves it.
+
+// hookEngine commits at once, or runs the installed hook: block, sever
+// the wire, anything a test needs at execution time.
+type hookEngine struct {
+	execs atomic.Uint64
+	fn    atomic.Pointer[func(ctx context.Context) error]
 }
 
-var cannedBody = []byte(`{"status":"committed","class":"update","admission_class":"default","attempts":1,"latency_ms":0.0123}` + "\n")
+func (e *hookEngine) Name() string { return "hook" }
 
-func (e *echo) ServeLink(req *Request, frame []byte) ([]byte, bool) {
-	e.calls.Add(1)
-	e.lastReq.Store(&Request{TraceID: req.TraceID, Query: strings.Clone(req.Query), Body: bytes.Clone(req.Body)})
-	if e.hold != nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		stop := req.WatchClose(cancel)
-		select {
-		case <-ctx.Done():
-			e.hungUp.Add(1)
-			stop()
-			cancel()
-			return frame, false // nothing appended: no answer owed
-		case <-e.hold:
-		}
-		stop()
-		cancel()
+func (e *hookEngine) hook(fn func(ctx context.Context) error) { e.fn.Store(&fn) }
+
+func (e *hookEngine) Exec(ctx context.Context, _ server.TxnSpec) error {
+	e.execs.Add(1)
+	if fn := e.fn.Load(); fn != nil {
+		return (*fn)(ctx)
 	}
-	resp := Response{Status: http.StatusOK, ContentType: "application/json", Body: cannedBody}
-	if s := e.signal.Load(); s != nil {
-		resp.Signal = *s
-	}
-	if req.TraceID%2 == 0 {
-		resp.TraceID = req.TraceID
-	}
-	frame, _ = AppendResponse(frame, &resp)
-	return frame, true
+	return nil
 }
 
-// linkBackend is an httptest server that upgrades /link and serves it with
-// h, tracking its connections the way server.Server does.
-type linkBackend struct {
-	ts    *httptest.Server
-	mu    sync.Mutex
-	conns map[*ServerConn]struct{}
+// backend is a server.Server behind its front door.
+type backend struct {
+	srv  *server.Server
+	eng  *hookEngine
+	addr string // host:port
+	url  string
 }
 
-func newLinkBackend(t testing.TB, h Handler) *linkBackend {
+func newBackend(t testing.TB, mutate func(*server.Config)) *backend {
 	t.Helper()
-	b := &linkBackend{conns: map[*ServerConn]struct{}{}}
-	mux := http.NewServeMux()
-	mux.HandleFunc(Path, func(w http.ResponseWriter, r *http.Request) {
-		c, err := Accept(w, r)
-		if err != nil {
-			return
-		}
-		b.mu.Lock()
-		b.conns[c] = struct{}{}
-		b.mu.Unlock()
-		_ = c.Serve(h)
-		b.mu.Lock()
-		delete(b.conns, c)
-		b.mu.Unlock()
-	})
-	b.ts = httptest.NewServer(mux)
-	t.Cleanup(func() {
-		b.sever()
-		b.ts.Close()
-	})
-	return b
-}
-
-func (b *linkBackend) sever() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for c := range b.conns {
-		c.Close()
+	eng := &hookEngine{}
+	cfg := server.Config{
+		Controller: core.NewStatic(8),
+		Engine:     eng,
+		Items:      64,
+		Interval:   time.Hour, // no control ticks: nothing allocates beside the round trips
 	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = hs.Serve(srv.FrontDoor(ln))
+	}()
+	t.Cleanup(func() {
+		hs.Close()
+		<-served
+		srv.Close()
+	})
+	addr := ln.Addr().String()
+	return &backend{srv: srv, eng: eng, addr: addr, url: "http://" + addr}
 }
 
-func (b *linkBackend) open() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.conns)
-}
+func (b *backend) totals() server.Totals { return b.srv.SnapshotNow(false).Totals }
 
-func (b *linkBackend) host() string { return strings.TrimPrefix(b.ts.URL, "http://") }
+// traced reports whether the backend captured a trace of ID id.
+func (b *backend) traced(id uint64) bool {
+	for _, tr := range b.srv.Requests().Dump().Ring {
+		if tr.ID == reqtrace.FormatID(id) {
+			return true
+		}
+	}
+	return false
+}
 
 // txnRequest builds the request cluster.forward would: POST /txn with the
 // trace header in canonical form.
@@ -126,6 +114,18 @@ func txnRequest(ctx context.Context, base, query string, body []byte, traceID ui
 	return req
 }
 
+// do runs one round trip and returns the status and body.
+func do(t *testing.T, tr http.RoundTripper, req *http.Request) (int, string) {
+	t.Helper()
+	resp, err := tr.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(body)
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -138,56 +138,97 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestRoundTripOverLink(t *testing.T) {
-	e := &echo{}
-	sig := "status=ok;limit=8;active=1;queued=0;util=0.125"
-	e.signal.Store(&sig)
-	b := newLinkBackend(t, e)
-	tr := NewTransport()
+	b := newBackend(t, func(c *server.Config) { c.ReqTrace = reqtrace.Config{SampleEvery: 1} })
+	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
 
-	for i, body := range [][]byte{nil, []byte(`{"k":3}`)} {
-		id := uint64(0x1234560 + i) // even, then odd: echoed, then not
-		resp, err := tr.RoundTrip(txnRequest(context.Background(), b.ts.URL, "shape=update&k=4", body, id))
+	for i, c := range []struct {
+		query, body, class string
+	}{
+		{"shape=update&k=4", "", `"class":"update"`},
+		{"", `{"shape":"query","k":3}`, `"class":"query"`},
+	} {
+		id := uint64(0x1234560 + i)
+		var body []byte
+		if c.body != "" {
+			body = []byte(c.body)
+		}
+		resp, err := tr.RoundTrip(txnRequest(context.Background(), b.url, c.query, body, id))
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != 200 || !bytes.Equal(got, cannedBody) {
-			t.Fatalf("answer %d %q", resp.StatusCode, got)
+		if resp.StatusCode != 200 || !strings.Contains(string(got), `"status":"committed"`) || !strings.Contains(string(got), c.class) {
+			t.Fatalf("request %d: answer %d %q", i, resp.StatusCode, got)
 		}
-		if resp.Header.Get("Content-Type") != "application/json" || resp.Header.Get(loadsig.Header) != sig {
-			t.Fatalf("headers %v", resp.Header)
+		if resp.ContentLength != int64(len(got)) || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("request %d: length %d, headers %v", i, resp.ContentLength, resp.Header)
 		}
-		wantEcho := ""
-		if id%2 == 0 {
-			wantEcho = reqtrace.FormatID(id)
+		if _, err := loadsig.Parse(resp.Header.Get(loadsig.Header)); err != nil {
+			t.Fatalf("request %d: load signal %q: %v", i, resp.Header.Get(loadsig.Header), err)
 		}
-		if resp.Header.Get(reqtrace.Header) != wantEcho || resp.Header.Get("Retry-After") != "" {
-			t.Fatalf("request %d: headers %v, want trace echo %q and no Retry-After", i, resp.Header, wantEcho)
+		if resp.Header.Get(reqtrace.Header) != reqtrace.FormatID(id) || resp.Header.Get("Retry-After") != "" {
+			t.Fatalf("request %d: headers %v, want the trace echoed and no Retry-After", i, resp.Header)
 		}
 		resp.Body.Close()
-		seen := e.lastReq.Load()
-		if seen.TraceID != id || seen.Query != "shape=update&k=4" || !bytes.Equal(seen.Body, body) {
-			t.Fatalf("backend saw %+v", seen)
+		if !b.traced(id) {
+			t.Fatalf("request %d: the backend has no trace %x", i, id)
 		}
 	}
-	st := tr.Stats(b.host())
-	if !st.Link || st.Dials != 1 || st.Idle != 1 {
-		t.Fatalf("two sequential requests should share one pooled connection: %+v", st)
+	if st := tr.Stats(b.addr); st.Dials != 1 || st.Idle != 1 || b.srv.DoorConns() != 1 {
+		t.Fatalf("two sequential requests should share one pooled door connection: %+v, %d at the door", st, b.srv.DoorConns())
 	}
 }
 
-// TestRoundTripAllocs pins the steady-state round trip's allocations on
-// both ends: AllocsPerRun counts every goroutine's mallocs, so the
-// backend's serve loop is inside the figure. The link's own code allocates
-// nothing; a cancellable request — every one the proxy relays — pays
-// context.AfterFunc's two objects for the cancel to be honoured.
+// cannedAnswer is a door-format answer to every request of
+// TestRoundTripAllocs.
+const cannedAnswer = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n" +
+	"X-Loadctl-Load: status=ok;limit=8\r\nX-Loadctl-Trace: 0000000000001235\r\n" +
+	"Content-Length: 22\r\n\r\n{\"status\":\"committed\"}"
+
+// serveCanned answers every bodiless request on every connection to ln
+// with cannedAnswer, from a fixed buffer, so the backend allocates
+// nothing per request.
+func serveCanned(ln net.Listener) {
+	for {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer nc.Close()
+			buf, answer := make([]byte, link.HeadBudget), []byte(cannedAnswer)
+			n := 0
+			for {
+				m, err := nc.Read(buf[n:])
+				if err != nil {
+					return
+				}
+				if n += m; bytes.HasSuffix(buf[:n], []byte("\r\n\r\n")) {
+					if _, err := nc.Write(answer); err != nil {
+						return
+					}
+					n = 0
+				}
+			}
+		}()
+	}
+}
+
+// TestRoundTripAllocs pins the client half of a steady-state round trip:
+// the backend is a canned answer that allocates nothing, and
+// AllocsPerRun counts every goroutine's mallocs. Under a background
+// context the round trip allocates nothing; a cancellable one — every
+// request the proxy relays — pays context.AfterFunc's two objects for the
+// cancel to be honoured. The door's half is BenchmarkTxnFrontDoor's.
 func TestRoundTripAllocs(t *testing.T) {
-	e := &echo{}
-	sig := "status=ok;limit=8;active=1;queued=0;util=0.125"
-	e.signal.Store(&sig)
-	b := newLinkBackend(t, allocFree{e})
-	tr := NewTransport()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go serveCanned(ln)
+	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
 	cancellable, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -196,30 +237,23 @@ func TestRoundTripAllocs(t *testing.T) {
 		ctx  context.Context
 		want float64
 	}{{"background", context.Background(), 0}, {"cancellable", cancellable, 2}} {
-		req := txnRequest(c.ctx, b.ts.URL, "shape=update&k=4", nil, 0x1235)
+		req := txnRequest(c.ctx, "http://"+ln.Addr().String(), "shape=update&k=4", nil, 0x1235)
 		roundTrip := func() {
 			resp, err := tr.RoundTrip(req)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", c.name, resp.StatusCode)
 			}
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
 		roundTrip() // dial
 		if n := testing.AllocsPerRun(500, roundTrip); n != c.want {
-			t.Fatalf("%s: link round trip allocates %v per op, want %v", c.name, n, c.want)
+			t.Fatalf("%s: round trip allocates %v per op, want %v", c.name, n, c.want)
 		}
 	}
-}
-
-// allocFree is echo without its bookkeeping copies.
-type allocFree struct{ e *echo }
-
-func (h allocFree) ServeLink(req *Request, frame []byte) ([]byte, bool) {
-	frame, _ = AppendResponse(frame, &Response{
-		Status: http.StatusOK, Signal: *h.e.signal.Load(), ContentType: "application/json", Body: cannedBody,
-	})
-	return frame, true
 }
 
 func TestRefusedDialIsADialError(t *testing.T) {
@@ -229,7 +263,7 @@ func TestRefusedDialIsADialError(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	tr := NewTransport()
+	tr := link.NewTransport()
 	_, err = tr.RoundTrip(txnRequest(context.Background(), "http://"+addr, "", nil, 1))
 	var op *net.OpError
 	if !errors.As(err, &op) || op.Op != "dial" {
@@ -237,68 +271,30 @@ func TestRefusedDialIsADialError(t *testing.T) {
 	}
 }
 
-// TestHandshakeFailureIsADialError: a peer that accepts the TCP connection
-// and hangs up on the upgrade never saw a transaction.
-func TestHandshakeFailureIsADialError(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			c.Close()
-		}
-	}()
-	tr := NewTransport()
-	_, err = tr.RoundTrip(txnRequest(context.Background(), "http://"+ln.Addr().String(), "", nil, 1))
-	var op *net.OpError
-	if !errors.As(err, &op) || op.Op != "dial" {
-		t.Fatalf("broken handshake surfaced as %T %v, want *net.OpError{Op: dial}", err, err)
-	}
-}
-
 func TestDeadIdleConnectionIsReplacedSilently(t *testing.T) {
-	e := &echo{}
-	b := newLinkBackend(t, e)
-	tr := NewTransport()
+	b := newBackend(t, nil)
+	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
-	do := func() {
-		t.Helper()
-		resp, err := tr.RoundTrip(txnRequest(context.Background(), b.ts.URL, "", nil, 1))
-		if err != nil {
-			t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if code, body := do(t, tr, txnRequest(context.Background(), b.url, "", nil, 1)); code != http.StatusOK {
+			t.Fatalf("request %d: %d %q", i, code, body)
 		}
-		resp.Body.Close()
+		b.srv.CloseConns() // the backend drops its idle connections
+		waitFor(t, "backend connections gone", func() bool { return b.srv.DoorConns() == 0 })
 	}
-	do()
-	b.sever() // the backend drops its idle connections
-	waitFor(t, "backend connections gone", func() bool { return b.open() == 0 })
-	do()
-	if st := tr.Stats(b.host()); st.Dials != 2 || e.calls.Load() != 2 {
-		t.Fatalf("want a silent re-dial: %+v, %d calls", st, e.calls.Load())
+	if st := tr.Stats(b.addr); st.Dials != 2 || b.eng.execs.Load() != 2 {
+		t.Fatalf("want a silent re-dial: %+v, %d executions", st, b.eng.execs.Load())
 	}
-}
-
-// severing answers nothing and cuts the connection once the request frame
-// has been read — the backend may have run the transaction.
-type severing struct{ b *linkBackend }
-
-func (h *severing) ServeLink(_ *Request, frame []byte) ([]byte, bool) {
-	h.b.sever()
-	return frame, false
 }
 
 func TestBreakAfterWriteIsNotADialError(t *testing.T) {
-	h := &severing{}
-	b := newLinkBackend(t, h)
-	h.b = b
-	tr := NewTransport()
-	_, err := tr.RoundTrip(txnRequest(context.Background(), b.ts.URL, "", nil, 1))
+	b := newBackend(t, nil)
+	b.eng.hook(func(context.Context) error {
+		b.srv.CloseConns() // the request is at the backend; its answer never leaves
+		return nil
+	})
+	tr := link.NewTransport()
+	_, err := tr.RoundTrip(txnRequest(context.Background(), b.url, "", nil, 1))
 	if err == nil {
 		t.Fatal("a connection cut before the answer must fail the round trip")
 	}
@@ -306,229 +302,154 @@ func TestBreakAfterWriteIsNotADialError(t *testing.T) {
 	if errors.As(err, &op) && op.Op == "dial" {
 		t.Fatalf("post-write failure %v looks like a dial error: the proxy would replay the transaction", err)
 	}
-	if st := tr.Stats(b.host()); st.Idle != 0 {
+	if st := tr.Stats(b.addr); st.Idle != 0 {
 		t.Fatalf("broken connection went back to the pool: %+v", st)
 	}
 }
 
-func TestHTTPOnlyBackendFallsBackAndIsReprobed(t *testing.T) {
-	var txns atomic.Uint64
-	mux := http.NewServeMux()
-	mux.HandleFunc("/txn", func(w http.ResponseWriter, r *http.Request) {
-		txns.Add(1)
-		_, _ = io.WriteString(w, "plain")
+// parked is a backend with one admission slot, taken by a transaction
+// parked until release is closed; the next request queues.
+func parked(t *testing.T) (b *backend, release chan struct{}, holder chan int) {
+	t.Helper()
+	b = newBackend(t, func(c *server.Config) {
+		c.Controller = core.NewStatic(1)
+		c.QueueTimeout = time.Minute
 	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	hs := &http.Server{Handler: mux}
-	go func() { _ = hs.Serve(ln) }()
-
-	tr := NewTransport()
-	defer tr.CloseIdleConnections()
-	do := func() (string, error) {
-		resp, err := tr.RoundTrip(txnRequest(context.Background(), "http://"+addr, "", nil, 1))
+	release = make(chan struct{})
+	b.eng.hook(func(ctx context.Context) error {
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})
+	holder = make(chan int, 1)
+	go func() {
+		resp, err := http.Post(b.url+"/txn", "application/json", nil)
 		if err != nil {
-			return "", err
+			holder <- -1
+			return
 		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return string(b), nil
-	}
-	for i := 0; i < 3; i++ {
-		if got, err := do(); err != nil || got != "plain" {
-			t.Fatalf("fallback request %d: %q, %v", i, got, err)
-		}
-	}
-	if st := tr.Stats(addr); st.Link || st.Dials != 0 || txns.Load() != 3 {
-		t.Fatalf("HTTP-only backend: %+v, %d txns", st, txns.Load())
-	}
-
-	// The backend dies and a link-speaking one comes back on the address:
-	// the failed exchange followed by a good one is the dead→alive
-	// transition that clears the HTTP-only mark.
-	hs.Close()
-	if _, err := do(); err == nil {
-		t.Fatal("request to a dead backend succeeded")
-	}
-	e := &echo{}
-	mux2 := http.NewServeMux()
-	mux2.HandleFunc(Path, func(w http.ResponseWriter, r *http.Request) {
-		if c, err := Accept(w, r); err == nil {
-			_ = c.Serve(e)
-		}
-	})
-	mux2.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {})
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs2 := &http.Server{Handler: mux2}
-	go func() { _ = hs2.Serve(ln2) }()
-	defer hs2.Close()
-	probe, _ := http.NewRequest(http.MethodGet, "http://"+addr+"/healthz", nil)
-	resp, err := tr.RoundTrip(probe) // the health loop's probe
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got, err := do(); err != nil || got != string(cannedBody) {
-		t.Fatalf("after the revival: %q, %v", got, err)
-	}
-	if st := tr.Stats(addr); !st.Link || st.Dials != 1 {
-		t.Fatalf("revived backend was not re-negotiated: %+v", st)
-	}
+		resp.Body.Close()
+		holder <- resp.StatusCode
+	}()
+	waitFor(t, "the holder to be admitted", func() bool { return b.eng.execs.Load() == 1 })
+	return b, release, holder
 }
 
 // TestCancelWhileWaiting: the caller's cancel closes the connection, the
-// backend's close-watcher sees it, and the connection never returns to the
-// pool.
+// door's close-watcher sees it and frees the queue slot, and the
+// connection never returns to the pool.
 func TestCancelWhileWaiting(t *testing.T) {
-	e := &echo{hold: make(chan struct{})}
-	b := newLinkBackend(t, e)
-	tr := NewTransport()
+	b, release, holder := parked(t)
+	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := tr.RoundTrip(txnRequest(ctx, b.ts.URL, "", nil, 1))
+		_, err := tr.RoundTrip(txnRequest(ctx, b.url, "", nil, 1))
 		errc <- err
 	}()
-	waitFor(t, "request parked at the backend", func() bool { return e.calls.Load() == 1 })
+	waitFor(t, "request queued at the backend", func() bool { return b.srv.SnapshotNow(false).Queued == 1 })
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled round trip returned %v", err)
 	}
-	waitFor(t, "backend to notice the hang-up", func() bool { return e.hungUp.Load() == 1 })
-	waitFor(t, "backend connection to end", func() bool { return b.open() == 0 })
-	if st := tr.Stats(b.host()); st.Idle != 0 {
+	waitFor(t, "backend to notice the hang-up", func() bool {
+		snap := b.srv.SnapshotNow(false)
+		return snap.Queued == 0 && snap.Totals.Disconnects == 1
+	})
+	if st := tr.Stats(b.addr); st.Idle != 0 {
 		t.Fatalf("aborted connection was pooled: %+v", st)
 	}
+	close(release)
+	if code := <-holder; code != http.StatusOK {
+		t.Fatalf("holder answered %d", code)
+	}
 }
 
-// TestWatchCloseStopKeepsConnection: a watcher that is stopped (the wait
-// ended normally) leaves the connection usable for the next frame.
+// TestWatchCloseStopKeepsConnection: a request whose queue wait ended in
+// admission (its close-watcher stopped, not fired) leaves the connection
+// usable for the next request.
 func TestWatchCloseStopKeepsConnection(t *testing.T) {
-	e := &echo{hold: make(chan struct{})}
-	b := newLinkBackend(t, e)
-	tr := NewTransport()
+	b, release, holder := parked(t)
+	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
-	first := make(chan error, 1)
+	first := make(chan int, 1)
 	go func() {
-		resp, err := tr.RoundTrip(txnRequest(context.Background(), b.ts.URL, "", nil, 1))
-		if err == nil {
-			resp.Body.Close()
-		}
-		first <- err
-	}()
-	waitFor(t, "request parked behind its watcher", func() bool { return e.calls.Load() == 1 })
-	close(e.hold)
-	if err := <-first; err != nil {
-		t.Fatalf("request released from its wait: %v", err)
-	}
-	resp, err := tr.RoundTrip(txnRequest(context.Background(), b.ts.URL, "", nil, 1))
-	if err != nil {
-		t.Fatalf("next request on the connection: %v", err)
-	}
-	resp.Body.Close()
-	if st := tr.Stats(b.host()); st.Dials != 1 || e.hungUp.Load() != 0 {
-		t.Fatalf("stopped watcher cost the connection: %+v, %d hang-ups", st, e.hungUp.Load())
-	}
-}
-
-func TestInterruptEndsIdleConnection(t *testing.T) {
-	e := &echo{}
-	b := newLinkBackend(t, e)
-	tr := NewTransport()
-	defer tr.CloseIdleConnections()
-	resp, err := tr.RoundTrip(txnRequest(context.Background(), b.ts.URL, "", nil, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	b.mu.Lock()
-	for c := range b.conns {
-		c.Interrupt()
-	}
-	b.mu.Unlock()
-	waitFor(t, "interrupted connection to end", func() bool { return b.open() == 0 })
-}
-
-func TestServerClosesOnBadFrames(t *testing.T) {
-	for name, frame := range map[string][]byte{
-		"oversize":  {0xff, 0xff, 0xff, 0xff},
-		"malformed": {0, 0, 0, 2, 1, 2},
-		"pipelined": append(AppendRequest(nil, &Request{Query: "k=1"}), AppendRequest(nil, &Request{Query: "k=2"})...),
-	} {
-		t.Run(name, func(t *testing.T) {
-			e := &echo{}
-			b := newLinkBackend(t, e)
-			nc, err := net.Dial("tcp", b.host())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nc.Close()
-			if err := handshake(nc, b.host()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := nc.Write(frame); err != nil {
-				t.Fatal(err)
-			}
-			_ = nc.SetReadDeadline(time.Now().Add(3 * time.Second))
-			if _, err := io.ReadAll(nc); err != nil {
-				t.Fatalf("want the backend to close the connection, got %v", err)
-			}
-			if e.calls.Load() != 0 {
-				t.Fatalf("handler ran %d times on a bad frame", e.calls.Load())
-			}
-		})
-	}
-}
-
-func TestUnlinkableRequestsUseHTTP(t *testing.T) {
-	var viaHTTP atomic.Uint64
-	e := &echo{}
-	mux := http.NewServeMux()
-	mux.HandleFunc(Path, func(w http.ResponseWriter, r *http.Request) {
-		if c, err := Accept(w, r); err == nil {
-			_ = c.Serve(e)
-		}
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		viaHTTP.Add(1)
-		_, _ = io.Copy(io.Discard, r.Body)
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	tr := NewTransport()
-	defer tr.CloseIdleConnections()
-
-	big := txnRequest(context.Background(), ts.URL, "", make([]byte, MaxBody+1), 1)
-	chunked := txnRequest(context.Background(), ts.URL, "", []byte("{}"), 1)
-	chunked.ContentLength = -1
-	health, _ := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
-	for _, req := range []*http.Request{big, chunked, health} {
-		resp, err := tr.RoundTrip(req)
+		resp, err := tr.RoundTrip(txnRequest(context.Background(), b.url, "", nil, 1))
 		if err != nil {
-			t.Fatal(err)
+			first <- -1
+			return
 		}
 		resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	waitFor(t, "request parked behind its watcher", func() bool { return b.srv.SnapshotNow(false).Queued == 1 })
+	close(release)
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("request released from its wait answered %d", code)
 	}
-	if viaHTTP.Load() != 3 || e.calls.Load() != 0 {
-		t.Fatalf("%d over HTTP, %d over the link; want 3 and 0", viaHTTP.Load(), e.calls.Load())
+	<-holder
+	if code, body := do(t, tr, txnRequest(context.Background(), b.url, "", nil, 1)); code != http.StatusOK {
+		t.Fatalf("next request on the connection: %d %q", code, body)
+	}
+	if st := tr.Stats(b.addr); st.Dials != 1 || b.totals().Disconnects != 0 {
+		t.Fatalf("stopped watcher cost the connection: %+v, %d disconnects", st, b.totals().Disconnects)
 	}
 }
 
-func TestAcceptRejectsPlainRequests(t *testing.T) {
-	b := newLinkBackend(t, &echo{})
-	resp, err := http.Get(b.ts.URL + Path)
-	if err != nil {
-		t.Fatal(err)
+// TestInterruptEndsIdleConnection: a drain ends an idle hop connection at
+// once, and the transport notices before it writes the next request.
+func TestInterruptEndsIdleConnection(t *testing.T) {
+	b := newBackend(t, nil)
+	tr := link.NewTransport()
+	defer tr.CloseIdleConnections()
+	if code, _ := do(t, tr, txnRequest(context.Background(), b.url, "", nil, 1)); code != http.StatusOK {
+		t.Fatalf("answer %d", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != Proto {
-		t.Fatalf("plain GET /link: %d, Upgrade %q", resp.StatusCode, resp.Header.Get("Upgrade"))
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if err := b.srv.DrainConns(ctx); err != nil || b.srv.DoorConns() != 0 {
+		t.Fatalf("drain of an idle connection: %v, %d left", err, b.srv.DoorConns())
+	}
+	// The drain also ends connections accepted after it, before their first
+	// request: the new dial's request fails, and it was written.
+	_, err := tr.RoundTrip(txnRequest(context.Background(), b.url, "", nil, 1))
+	var op *net.OpError
+	if err == nil || errors.As(err, &op) && op.Op == "dial" {
+		t.Fatalf("request to a drained backend: %v", err)
+	}
+	if st := tr.Stats(b.addr); st.Dials != 2 || st.Idle != 0 {
+		t.Fatalf("the drained connection was reused: %+v", st)
+	}
+}
+
+// TestUnlinkableRequestsUseHTTP: what the door would not take raw — a body
+// over MaxBody or of unknown length, a head over HeadBudget, a probe —
+// goes through the HTTP fallback and dials no hop connection.
+func TestUnlinkableRequestsUseHTTP(t *testing.T) {
+	b := newBackend(t, nil)
+	tr := link.NewTransport()
+	defer tr.CloseIdleConnections()
+
+	big := txnRequest(context.Background(), b.url, "k=2", make([]byte, link.MaxBody+1), 1)
+	chunked := txnRequest(context.Background(), b.url, "k=2", []byte(`{"k":3}`), 1)
+	chunked.ContentLength = -1
+	long := txnRequest(context.Background(), b.url, "k=2&pad="+strings.Repeat("x", link.HeadBudget), nil, 1)
+	health, _ := http.NewRequest(http.MethodGet, b.url+"/healthz", nil)
+	for _, c := range []struct {
+		name string
+		req  *http.Request
+		want int
+	}{{"big body", big, 400}, {"chunked", chunked, 200}, {"long query", long, 200}, {"probe", health, 200}} {
+		if code, body := do(t, tr, c.req); code != c.want {
+			t.Fatalf("%s: %d %q, want %d", c.name, code, body, c.want)
+		}
+	}
+	if st := tr.Stats(b.addr); st.Dials != 0 || b.eng.execs.Load() != 2 || b.srv.DoorConns() != 0 {
+		t.Fatalf("%+v, %d transactions, %d door connections; want no hop dial, 2 over HTTP and none held by the door",
+			st, b.eng.execs.Load(), b.srv.DoorConns())
 	}
 }

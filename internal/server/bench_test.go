@@ -11,7 +11,6 @@ import (
 
 	"github.com/tpctl/loadctl/internal/core"
 	"github.com/tpctl/loadctl/internal/kv"
-	"github.com/tpctl/loadctl/internal/link"
 )
 
 // /txn hot-path benchmarks: the full handler (admission gate → engine →
@@ -131,38 +130,6 @@ func BenchmarkTxnReadHeavy(b *testing.B) {
 // amortized shard-lock acquisition.
 func BenchmarkTxnUpdateHeavyGroupCommit(b *testing.B) {
 	benchTxnVariants(b, "?class=update&k=8", true)
-}
-
-// BenchmarkTxnOverLink is BenchmarkTxnUpdateHeavy (one shard, serial)
-// entered through the link adapter instead of the HTTP one: ServeLink plus
-// the shared transaction path, no sockets. Its name puts it under the same
-// exact 0 allocs/op CI gate as the other BenchmarkTxn* rows — the link
-// server loop's steady state must allocate nothing either.
-func BenchmarkTxnOverLink(b *testing.B) {
-	store := kv.NewStoreShards(1024, 1)
-	s, err := New(Config{
-		Controller: core.NewStatic(1 << 20),
-		Engine:     NewOCC(store),
-		Items:      store.Size(),
-		Interval:   time.Hour,
-		Seed:       1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	req := &link.Request{TraceID: 0x1235, Query: "class=update&k=8"}
-	var frame []byte
-	var resp link.Response
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, _ = s.ServeLink(req, frame[:0])
-		if len(frame) < 4 || link.ParseResponse(frame[4:], &resp) != nil ||
-			(resp.Status != http.StatusOK && resp.Status != http.StatusConflict) {
-			b.Fatalf("link /txn answered %d (%d-byte frame)", resp.Status, len(frame))
-		}
-	}
 }
 
 // BenchmarkTxnFrontDoor is BenchmarkTxnUpdateHeavy (one shard, serial)

@@ -29,9 +29,6 @@ type txnScratch struct {
 	// query is the request's raw query, copied and then decoded in place
 	// by parseTxnQuery.
 	query []byte
-	// body presents a link frame's JSON body as the io.Reader the decoder
-	// wants (the HTTP adapter passes r.Body itself).
-	body bytes.Reader
 }
 
 // txnScratchPool recycles scratch across requests. New is nil on

@@ -22,19 +22,21 @@ import (
 
 // The front door: POST /txn served over HTTP/1.1 keep-alive by hand, at
 // the listener loadctl.Serve owns, with every other request handed to the
-// unchanged net/http server. It is the third thin adapter of runTxn,
-// beside handleTxn (net/http) and ServeLink (the proxy's link).
+// unchanged net/http server. It is the second thin adapter of runTxn,
+// beside handleTxn (net/http), and the far end of the proxy's hop
+// (internal/link).
 //
 // Each connection gets one goroutine, which peeks each request head in the
-// connection's 4 KiB bufio.Reader. A head the door is sure of is served
-// here: runTxn, then the answer in one Write from the connection's own
-// buffer. Anything else is decided before a byte is consumed and handed to
-// http.Server through the listener FrontDoor returns, the peeked bytes
-// replayed; the connection then stays on net/http, so a GET /link upgrade
-// goes through net/http's hijack as before.
+// connection's bufio.Reader of link.HeadBudget bytes. A head the door is
+// sure of is served here: runTxn, then the answer in one Write from the
+// connection's own buffer. Anything else is decided before a byte is
+// consumed and handed to http.Server through the listener FrontDoor
+// returns, the peeked bytes replayed; the connection then stays on
+// net/http.
 
 // doorBufSize is the head reader's size: a longer head goes to net/http.
-const doorBufSize = 4096
+// It is the hop's head budget, so a proxy never sends a head that does.
+const doorBufSize = link.HeadBudget
 
 // aLongTimeAgo is a read deadline that has always passed: setting it fails
 // a blocked Read at once without closing the connection.
@@ -142,7 +144,7 @@ type doorConn struct {
 func (s *Server) serveDoor(l *doorListener, nc net.Conn) {
 	c := &doorConn{s: s, nc: nc, dateSec: -1}
 	c.br = bufio.NewReaderSize(c, doorBufSize)
-	s.holdConn(c, false)
+	s.holdConn(c)
 	handoff := false
 	defer func() {
 		if p := recover(); p != nil {
@@ -195,8 +197,9 @@ func (c *doorConn) serve() (handoff bool) {
 			body = &c.lim
 		}
 		sc := getTxnScratch()
-		// As on the link: an admitted transaction runs to completion, and a
-		// queued one learns of a hang-up through the close-watcher.
+		// The context never ends: an admitted transaction runs to
+		// completion, and a queued one learns of a hang-up through the
+		// close-watcher.
 		res := c.s.runTxn(context.Background(), sc, h.query, body, h.traceID, c)
 		c.endWatch()
 		if res.status == 0 {
@@ -315,22 +318,22 @@ func (c *doorConn) Interrupt() {
 
 func (c *doorConn) Close() error { return c.nc.Close() }
 
-// WatchClose implements closeWatcher around a contended admission: it
-// calls cancel if the client closes the connection while the request
-// waits. Unlike the link's watcher, a byte that arrives instead is kept,
-// as the start of a pipelined request, and ends the watch without a
-// hang-up; net/http's background read does the same.
+// watchClose arms a close-watcher around a contended admission: it calls
+// cancel if the client closes the connection while the request waits. A
+// byte that arrives instead is kept, as the start of a pipelined request,
+// and ends the watch without a hang-up; net/http's background read does
+// the same.
 //
-// The stop it returns does nothing: the watch ends in endWatch, once
-// runTxn has returned. Ending it at admission would put two goroutine
+// The watch ends in endWatch, once runTxn has returned, not when the
+// wait does. Ending it at admission would put two goroutine
 // switches (wake the watcher, wait for it) between the grant and the
 // transaction, while the slot is held; with a binding limit that is the
 // throughput, and how long the switches take depends on which core the
 // scheduler finds free. A cancel after admission is harmless: runTxn has
 // done with the context by then.
-func (c *doorConn) WatchClose(cancel context.CancelFunc) (stop func()) {
+func (c *doorConn) watchClose(cancel context.CancelFunc) {
 	if c.stashed {
-		return noStop // the stash is full: the client is still talking
+		return // the stash is full: the client is still talking
 	}
 	done := make(chan struct{})
 	c.watched = done
@@ -346,10 +349,7 @@ func (c *doorConn) WatchClose(cancel context.CancelFunc) (stop func()) {
 			cancel()
 		}
 	}()
-	return noStop
 }
-
-func noStop() {}
 
 // endWatch ends an armed close-watcher and waits for it to be gone, so
 // that the connection's goroutine reads the socket (and the stash) alone
@@ -368,8 +368,7 @@ func (c *doorConn) endWatch() {
 
 // replayConn is a handed-off connection as net/http reads it: first what
 // the door's reader holds (the head it peeked and anything after it), then
-// straight from the socket, so a link connection upgraded through net/http
-// pays no extra copy.
+// straight from the socket, with no extra copy.
 type replayConn struct {
 	net.Conn
 	door *doorConn // nil once its bytes are replayed
@@ -414,8 +413,6 @@ const (
 const (
 	doorTarget = "POST /txn"
 	doorProto  = " HTTP/1.1"
-	// maxLenDigits bounds Content-Length's digits; link.MaxBody has 7.
-	maxLenDigits = 8
 )
 
 // parseDoorHead classifies b, the buffered bytes from the start of a
@@ -464,10 +461,10 @@ func parseDoorHead(b []byte, h *doorHead) headVerdict {
 			break
 		}
 		name, value, ok := strings.Cut(line, ":")
-		if !ok || !isToken(name) || !isFieldValue(value) {
+		if !ok || !link.IsToken(name) || !link.IsFieldValue(value) {
 			return headHandoff
 		}
-		value = trimOWS(value)
+		value = link.TrimOWS(value)
 		switch {
 		case strings.EqualFold(name, "Host"):
 			hosts++
@@ -476,9 +473,11 @@ func parseDoorHead(b []byte, h *doorHead) headVerdict {
 			}
 		case strings.EqualFold(name, "Content-Length"):
 			lengths++
-			if h.bodyLen, ok = parseBodyLen(value); !ok {
+			n, ok := link.ParseLength(value, link.MaxBody)
+			if !ok {
 				return headHandoff
 			}
+			h.bodyLen = int64(n)
 		case strings.EqualFold(name, "Connection"):
 			if !parseConnection(value, h) {
 				return headHandoff
@@ -518,24 +517,6 @@ func headLine(s string, p int) (line string, next int, v headVerdict) {
 	return line[:len(line)-1], p + i + 1, headServe
 }
 
-// parseBodyLen reads a Content-Length the door serves: digits, at most
-// link.MaxBody.
-//
-//loadctl:hotpath
-func parseBodyLen(v string) (int64, bool) {
-	if v == "" || len(v) > maxLenDigits {
-		return 0, false
-	}
-	var n int64
-	for i := 0; i < len(v); i++ {
-		if v[i] < '0' || v[i] > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(v[i]-'0')
-	}
-	return n, n <= link.MaxBody
-}
-
 // parseConnection notes a close token in h; any token but close and
 // keep-alive is not the door's.
 //
@@ -544,54 +525,11 @@ func parseConnection(v string, h *doorHead) bool {
 	for v != "" {
 		var tok string
 		tok, v, _ = strings.Cut(v, ",")
-		switch tok = trimOWS(tok); {
+		switch tok = link.TrimOWS(tok); {
 		case tok == "":
 		case strings.EqualFold(tok, "close"):
 			h.close = true
 		case !strings.EqualFold(tok, "keep-alive"):
-			return false
-		}
-	}
-	return true
-}
-
-//loadctl:hotpath
-func trimOWS(s string) string {
-	for s != "" && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for s != "" && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-// isToken reports whether s is a non-empty RFC 9110 token.
-//
-//loadctl:hotpath
-func isToken(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' {
-			continue
-		}
-		if strings.IndexByte("!#$%&'*+-.^_`|~", c) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// isFieldValue reports whether s holds only field-value bytes: visible
-// ASCII, space, tab and obs-text.
-//
-//loadctl:hotpath
-func isFieldValue(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' && c != '\t' || c == 0x7f {
 			return false
 		}
 	}

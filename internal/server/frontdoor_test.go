@@ -44,8 +44,8 @@ func serveFrontDoor(t *testing.T, s *Server) string {
 func heldByDoor(s *Server, nc net.Conn) bool {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
-	for c := range s.conns {
-		if d, ok := c.(*doorConn); ok && d.nc.RemoteAddr().String() == nc.LocalAddr().String() {
+	for d := range s.conns {
+		if d.nc.RemoteAddr().String() == nc.LocalAddr().String() {
 			return true
 		}
 	}
@@ -266,18 +266,20 @@ func TestFrontDoorHandoff(t *testing.T) {
 				t.Fatalf("Connection: close answered with close=%v and the connection left open", resp.Close)
 			}
 		}},
-		{"GET /link upgrade and a link round trip", func(t *testing.T, s *Server, addr string) {
+		{"proxy hop round trips stay at the door", func(t *testing.T, s *Server, addr string) {
 			tr := link.NewTransport()
 			defer tr.CloseIdleConnections()
-			resp, err := tr.RoundTrip(newTxnRequest("http://"+addr, "k=2", ""))
-			if err != nil {
-				t.Fatal(err)
+			for i := 0; i < 3; i++ {
+				resp, err := tr.RoundTrip(newTxnRequest("http://"+addr, "k=2", ""))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				commit(t, resp, string(body))
 			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			commit(t, resp, string(body))
-			if !tr.Stats(addr).Link || s.LinkConns() != 1 {
-				t.Fatalf("the round trip did not cross the link (%+v, %d link connections)", tr.Stats(addr), s.LinkConns())
+			if st := tr.Stats(addr); st.Dials != 1 || s.DoorConns() != 1 {
+				t.Fatalf("three hop round trips: %+v, %d door connections; want one connection, the door's", st, s.DoorConns())
 			}
 		}},
 	} {
@@ -359,7 +361,7 @@ func FuzzFrontDoorHead(f *testing.F) {
 		"POST /txn HTTP/1.1\nHost: a\n\n",
 		"POST /txnx HTTP/1.1\r\nHost: a\r\n\r\n",
 		"POST /txn HTTP/1.0\r\nHost: a\r\n\r\n",
-		"GET /link HTTP/1.1\r\nHost: a\r\nConnection: Upgrade\r\nUpgrade: loadctl-link/1\r\n\r\n",
+		"GET /ws HTTP/1.1\r\nHost: a\r\nConnection: Upgrade\r\nUpgrade: websocket\r\n\r\n",
 		"POST /txn HTTP/1.1\r\nHost: a\r\nTransfer-Encoding: chunked\r\n\r\n",
 	} {
 		f.Add([]byte(seed))

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,8 +51,9 @@ type wireAnswer struct {
 	signal      string
 	contentType string
 	body        string
-	// headers is the whole header set (headerSet). Only the two HTTP
-	// wires compare it: the link's answer has no Date or Content-Length.
+	// headers is the whole header set (headerSet). Only net/http's and
+	// the door's answers as net/http's client reads them compare it: the
+	// proxy's hop exposes just the headers the proxy reads.
 	headers string
 }
 
@@ -92,12 +96,14 @@ func newTxnRequest(base, query, body string) *http.Request {
 	return req
 }
 
-// TestWireEquivalence sends the same requests over HTTP (net/http), over
-// the link and through the front door on a real listener, and requires
-// the same answer: status, Retry-After presence, load signal, content
-// type, and body up to latency_ms. The door's answer must also carry the
-// net/http answer's whole header set, Date's value aside. One transaction
-// path serves all three wires, so a difference here is an adapter bug.
+// TestWireEquivalence sends the same requests to both adapters of runTxn
+// — net/http (handleTxn) and the front door on a real listener — each
+// from net/http's client and from the proxy's hop (link.Transport), and
+// requires the same answer: status, Retry-After presence, load signal,
+// content type, and body up to latency_ms. The door's answer must also
+// carry the net/http answer's whole header set, Date's value aside. One
+// transaction path serves both adapters, so a difference here is an
+// adapter bug, or a disagreement between the hop and what it reads.
 func TestWireEquivalence(t *testing.T) {
 	cases := []struct {
 		name, query, body string
@@ -119,7 +125,6 @@ func TestWireEquivalence(t *testing.T) {
 	check := func(t *testing.T, s *Server, ts, door string, tr *link.Transport, query, body string, want int) {
 		t.Helper()
 		overHTTP := answerOf(t)(http.DefaultClient.Do(newTxnRequest(ts, query, body)))
-		overLink := answerOf(t)(tr.RoundTrip(newTxnRequest(ts, query, body)))
 		overDoor := answerOf(t)(overDoor(t, s, door, query, body))
 		if overHTTP.status != want {
 			t.Fatalf("HTTP answered %d, want %d (%q)", overHTTP.status, want, overHTTP.body)
@@ -127,9 +132,21 @@ func TestWireEquivalence(t *testing.T) {
 		if overHTTP != overDoor {
 			t.Fatalf("net/http and the front door disagree:\n http %+v\n door %+v", overHTTP, overDoor)
 		}
-		overHTTP.headers, overLink.headers = "", ""
-		if overHTTP != overLink {
-			t.Fatalf("wires disagree:\n http %+v\n link %+v", overHTTP, overLink)
+		overHTTP.headers = ""
+		for name, base := range map[string]string{"net/http": ts, "the door": "http://" + door} {
+			hop := answerOf(t)(tr.RoundTrip(newTxnRequest(base, query, body)))
+			hop.headers = ""
+			if overHTTP != hop {
+				t.Fatalf("the hop to %s disagrees:\n http %+v\n hop  %+v", name, overHTTP, hop)
+			}
+		}
+	}
+	// crossed fails the test unless the hop went raw to both adapters, on
+	// one pooled connection each.
+	crossed := func(t *testing.T, s *Server, ts, door string, tr *link.Transport) {
+		t.Helper()
+		if toHTTP, toDoor := tr.Stats(strings.TrimPrefix(ts, "http://")), tr.Stats(door); toHTTP.Dials != 1 || toDoor.Dials != 1 || s.DoorConns() == 0 {
+			t.Fatalf("the hop did not cross to both adapters: %+v to net/http, %+v to the door, %d door connections", toHTTP, toDoor, s.DoorConns())
 		}
 	}
 
@@ -141,13 +158,11 @@ func TestWireEquivalence(t *testing.T) {
 		for _, c := range cases {
 			t.Run(c.name, func(t *testing.T) { check(t, s, ts.URL, door, tr, c.query, c.body, c.want) })
 		}
-		if !tr.Stats(strings.TrimPrefix(ts.URL, "http://")).Link || s.LinkConns() == 0 {
-			t.Fatal("the link half of the comparison did not cross the link")
-		}
+		crossed(t, s, ts.URL, door, tr)
 	})
 
 	// The shed answers need a full gate: one slot, held by a parked
-	// transaction, so both wires see the same saturated signal.
+	// transaction, so every wire sees the same saturated signal.
 	for name, mode := range map[string]struct {
 		mutate func(*Config)
 		want   int
@@ -175,6 +190,7 @@ func TestWireEquivalence(t *testing.T) {
 			<-eng.entered
 			time.Sleep(2 * signalTTL) // the cached signal now shows the held slot to every wire
 			check(t, s, ts.URL, door, tr, "shape=update&k=2", "", mode.want)
+			crossed(t, s, ts.URL, door, tr)
 			close(eng.release)
 			<-held
 		})
@@ -224,20 +240,23 @@ func TestUncontrolledServerSerialises(t *testing.T) {
 	}
 }
 
-// TestDrainLinks: a drain lets the link transaction in flight finish and
-// answer, ends idle connections at once, and refuses new upgrades.
+// TestDrainLinks: a drain lets the hop's transaction in flight finish and
+// answer, ends idle connections at once, and closes a connection accepted
+// meanwhile before its first request.
 func TestDrainLinks(t *testing.T) {
 	eng := newGateEngine()
-	s, ts := newTestServer(t, 8, func(c *Config) { c.Engine = eng })
+	s, _ := newTestServer(t, 8, func(c *Config) { c.Engine = eng })
+	door := serveFrontDoor(t, s)
+	base := "http://" + door
 	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
 
 	// Two connections: one left idle, one with a transaction parked.
 	first := make(chan wireAnswer, 1)
-	go func() { first <- answerOf(t)(tr.RoundTrip(newTxnRequest(ts.URL, "k=2", ""))) }()
+	go func() { first <- answerOf(t)(tr.RoundTrip(newTxnRequest(base, "k=2", ""))) }()
 	<-eng.entered
 	second := make(chan wireAnswer, 1)
-	go func() { second <- answerOf(t)(tr.RoundTrip(newTxnRequest(ts.URL, "k=2", ""))) }()
+	go func() { second <- answerOf(t)(tr.RoundTrip(newTxnRequest(base, "k=2", ""))) }()
 	<-eng.entered
 	eng.release <- struct{}{} // one of them finishes; its connection idles
 	var done wireAnswer
@@ -246,8 +265,8 @@ func TestDrainLinks(t *testing.T) {
 		first = nil
 	case done = <-second:
 	}
-	if done.status != http.StatusOK || s.LinkConns() != 2 {
-		t.Fatalf("set-up: answer %d, %d link connections", done.status, s.LinkConns())
+	if done.status != http.StatusOK || s.DoorConns() != 2 {
+		t.Fatalf("set-up: answer %d, %d door connections", done.status, s.DoorConns())
 	}
 
 	// Two drains at once (Serve's and an embedder's): both must see the end.
@@ -255,20 +274,16 @@ func TestDrainLinks(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func() { drained <- s.DrainConns(context.Background()) }()
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for s.LinkConns() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle connection still open during the drain (%d open)", s.LinkConns())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the idle connection closed by the drain", func() bool { return s.DoorConns() == 1 })
 	select {
 	case err := <-drained:
 		t.Fatalf("DrainConns returned %v with a transaction in flight", err)
 	default:
 	}
-	if resp, err := http.DefaultClient.Do(upgradeRequest(ts.URL)); err != nil || resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("upgrade during a drain: %v, %v", resp, err)
+	late := dialDoor(t, door)
+	late.send(txnHead(door, "k=2"))
+	if !late.eof(3 * time.Second) {
+		t.Fatal("a connection accepted during the drain was served")
 	}
 
 	close(eng.release)
@@ -280,8 +295,8 @@ func TestDrainLinks(t *testing.T) {
 		t.Fatalf("transaction in flight across the drain answered %d", got.status)
 	}
 	for i := 0; i < 2; i++ {
-		if err := <-drained; err != nil || s.LinkConns() != 0 {
-			t.Fatalf("DrainConns: %v, %d connections left", err, s.LinkConns())
+		if err := <-drained; err != nil || s.DoorConns() != 0 {
+			t.Fatalf("DrainConns: %v, %d connections left", err, s.DoorConns())
 		}
 	}
 }
@@ -291,38 +306,34 @@ type panicEngine struct{}
 func (panicEngine) Name() string                        { return "panic" }
 func (panicEngine) Exec(context.Context, TxnSpec) error { panic("engine bug") }
 
-// TestLinkPanicUnregisters: net/http recovers a panic on the connection's
-// goroutine, so the connection must unregister on that path too — else a
-// later drain waits out its deadline for a connection nobody serves.
+// TestLinkPanicUnregisters: the door recovers a panic on the connection's
+// goroutine and closes the hop's connection, which fails the round trip
+// and must leave the registry too — else a later drain waits out its
+// deadline for a connection nobody serves.
 func TestLinkPanicUnregisters(t *testing.T) {
-	s, ts := newTestServer(t, 8, func(c *Config) { c.Engine = panicEngine{} })
+	s, _ := newTestServer(t, 8, func(c *Config) { c.Engine = panicEngine{} })
+	door := serveFrontDoor(t, s)
 	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
-	if _, err := tr.RoundTrip(newTxnRequest(ts.URL, "k=2", "")); err == nil {
+	if _, err := tr.RoundTrip(newTxnRequest("http://"+door, "k=2", "")); err == nil {
 		t.Fatal("a panicking transaction still answered")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	if err := s.DrainConns(ctx); err != nil || s.LinkConns() != 0 {
-		t.Fatalf("drain after a handler panic: %v, %d connections left", err, s.LinkConns())
+	if err := s.DrainConns(ctx); err != nil || s.DoorConns() != 0 {
+		t.Fatalf("drain after a handler panic: %v, %d connections left", err, s.DoorConns())
 	}
-}
-
-func upgradeRequest(base string) *http.Request {
-	req, _ := http.NewRequest(http.MethodGet, base+link.Path, nil)
-	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", link.Proto)
-	return req
 }
 
 // TestDrainLinksDeadline: a transaction that outlives the drain is cut.
 func TestDrainLinksDeadline(t *testing.T) {
 	eng := newGateEngine()
-	s, ts := newTestServer(t, 8, func(c *Config) { c.Engine = eng })
+	s, _ := newTestServer(t, 8, func(c *Config) { c.Engine = eng })
+	door := serveFrontDoor(t, s)
 	tr := link.NewTransport()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := tr.RoundTrip(newTxnRequest(ts.URL, "", ""))
+		_, err := tr.RoundTrip(newTxnRequest("http://"+door, "", ""))
 		errc <- err
 	}()
 	<-eng.entered
@@ -335,4 +346,113 @@ func TestDrainLinksDeadline(t *testing.T) {
 		t.Fatal("severed connection still answered")
 	}
 	close(eng.release)
+}
+
+// recordingListener accepts connections that keep every byte read from
+// them, so a test sees exactly what a client sent the door.
+type recordingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*recordingConn
+}
+
+func (l *recordingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	c := &recordingConn{Conn: nc}
+	l.mu.Lock()
+	l.conns = append(l.conns, c)
+	l.mu.Unlock()
+	return c, nil
+}
+
+func (l *recordingListener) last() *recordingConn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.conns[len(l.conns)-1]
+}
+
+type recordingConn struct {
+	net.Conn
+	mu   sync.Mutex
+	read []byte
+}
+
+func (c *recordingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.read = append(c.read, p[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+// TestHopHeadsAreTheDoors: every head the proxy's hop writes — a query of
+// 0 bytes, 1 byte or the longest it sends raw; traced or not; a body of 0,
+// 1 or link.MaxBody bytes — is one parseDoorHead serves, and the door
+// keeps the connection instead of handing it to net/http. One byte more
+// of query and the hop sends the request through its HTTP fallback.
+func TestHopHeadsAreTheDoors(t *testing.T) {
+	s, _ := newTestServer(t, 8, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl := &recordingListener{Listener: ln}
+	hs := &http.Server{Handler: s.Handler()}
+	go func() { _ = hs.Serve(s.FrontDoor(rl)) }()
+	defer hs.Close()
+	addr := ln.Addr().String()
+
+	// The longest head the hop writes has the longest Content-Length and a
+	// trace ID; the query gets what is left of the budget.
+	longest := "POST /txn? HTTP/1.1\r\nHost: " + addr + "\r\nContent-Length: 1048576\r\n" +
+		reqtrace.Header + ": 0123456789abcdef\r\n\r\n"
+	atBudget := "k=2&pad=" + strings.Repeat("x", link.HeadBudget-len(longest)-len("k=2&pad="))
+	hop := func(query string, traceID uint64, body []byte) *link.Transport {
+		t.Helper()
+		tr := link.NewTransport()
+		req, _ := http.NewRequest(http.MethodPost, "http://"+addr+"/txn?"+query, bytes.NewReader(body))
+		if traceID != 0 {
+			req.Header.Set(reqtrace.Header, reqtrace.FormatID(traceID))
+		}
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return tr
+	}
+	for _, query := range []string{"", "k", atBudget} {
+		for _, traceID := range []uint64{0, 0xfeedface} {
+			for _, n := range []int{0, 1, link.MaxBody} {
+				tr := hop(query, traceID, bytes.Repeat([]byte(" "), n))
+				rc := rl.last()
+				rc.mu.Lock()
+				sent := rc.read
+				rc.mu.Unlock()
+				var h doorHead
+				if v := parseDoorHead(sent, &h); v != headServe || h.n > link.HeadBudget || h.n+n != len(sent) ||
+					h.query != query || h.traceID != traceID || h.bodyLen != int64(n) {
+					t.Fatalf("query of %d, trace %x, body of %d: the door reads verdict %d, %+v from %d bytes",
+						len(query), traceID, n, v, h, len(sent))
+				}
+				held := false
+				s.connMu.Lock()
+				for d := range s.conns {
+					held = held || d.nc == net.Conn(rc)
+				}
+				s.connMu.Unlock()
+				if st := tr.Stats(addr); st.Dials != 1 || st.Idle != 1 || !held {
+					t.Fatalf("query of %d, trace %x, body of %d: %+v, held by the door %v", len(query), traceID, n, st, held)
+				}
+				tr.CloseIdleConnections()
+			}
+		}
+	}
+	if tr := hop(atBudget+"x", 0xfeedface, nil); tr.Stats(addr).Dials != 0 {
+		t.Fatal("a query over the budget went out raw")
+	}
 }

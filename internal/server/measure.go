@@ -79,7 +79,7 @@ type IntervalStats = telemetry.Interval
 
 // Totals are monotone counters since server start. Disconnects counts
 // requests whose caller went away before an answer existed — the request
-// context canceled (HTTP) or the link connection closed, while queued for
+// context canceled (net/http) or the front-door connection closed, while queued for
 // admission or mid-execution — distinct from engine errors and from
 // admission timeouts. Every request leaves through exactly one of commit,
 // terminal abort, rejection, timeout, disconnect or engine error.
@@ -161,9 +161,9 @@ type Snapshot struct {
 	// IncidentsOpen is the number of overload incidents currently open on
 	// the flight recorder (see GET /debug/incidents).
 	IncidentsOpen int `json:"incidents_open"`
-	// LinkConns is the number of open link connections (proxies speaking
-	// loadctl-link/1 to this backend; see internal/link).
-	LinkConns int `json:"link_conns"`
+	// DoorConns is the number of open front-door keep-alive connections:
+	// the ones FrontDoor serves itself, proxies' included.
+	DoorConns int `json:"door_conns"`
 	// Classes holds the per-class breakdown in configuration order.
 	Classes []ClassSnapshot `json:"classes"`
 	// History holds the retained closed aggregate intervals, oldest first
@@ -225,7 +225,7 @@ func (s *Server) SnapshotNow(withHistory bool) Snapshot {
 	snap.Gate = s.multi.AggregateStats()
 	snap.Runtime = s.runtime.Stats()
 	snap.IncidentsOpen = s.obsRec.OpenCount()
-	snap.LinkConns = s.LinkConns()
+	snap.DoorConns = s.DoorConns()
 	return snap
 }
 

@@ -26,9 +26,6 @@
 //	                 (scope: pool, perclass, or a single class)
 //	GET  /healthz    machine-readable load signal (JSON); 503 while
 //	                 draining — the cluster tier's active health check
-//	GET  /link       Upgrade: loadctl-link/1 — the proxy's persistent
-//	                 framed connection; carries /txn without net/http
-//	                 (see internal/link)
 //	GET  /debug/requests  captured per-request traces: head-sampled,
 //	                 shed/failed, and slowest-N requests with per-stage
 //	                 spans (see internal/reqtrace); ?class= and ?outcome=
@@ -41,9 +38,9 @@
 // histograms, load integrator and the Prometheus+JSON dual exporter
 // (measure.go); internal/ctl owns the sense→decide→actuate loop and its
 // decision trace (control.go); transport.go holds the /txn path and its
-// net/http and link adapters, frontdoor.go the hand-served HTTP/1.1 door
-// loadctl.Serve puts in front of net/http; this file holds configuration
-// and lifecycle.
+// net/http adapter, frontdoor.go the hand-served HTTP/1.1 door
+// loadctl.Serve puts in front of net/http — the door proxies reach over
+// internal/link; this file holds configuration and lifecycle.
 //
 // The request hot path never takes the server-wide mutex: every
 // per-request counter lives in striped, cache-line-padded atomic cells
@@ -66,7 +63,6 @@ import (
 	"github.com/tpctl/loadctl/internal/ctl"
 	"github.com/tpctl/loadctl/internal/gate"
 	"github.com/tpctl/loadctl/internal/kv"
-	"github.com/tpctl/loadctl/internal/link"
 	"github.com/tpctl/loadctl/internal/obs"
 	"github.com/tpctl/loadctl/internal/reqtrace"
 	"github.com/tpctl/loadctl/internal/telemetry"
@@ -226,16 +222,14 @@ type Server struct {
 
 	loop *ctl.Loop // the sense→decide→actuate cycle; owns the trace
 
-	// Connections the server holds itself rather than net/http: link
-	// connections (GET /link upgrades, see internal/link), which are
-	// hijacked, and front-door connections (frontdoor.go), which net/http
-	// never saw. http.Server's Close and Shutdown neither see nor end
-	// them. The value tells a link connection from a door one.
+	// Connections the server holds itself rather than net/http: the
+	// front door's (frontdoor.go), which net/http never saw, so
+	// http.Server's Close and Shutdown neither see nor end them.
 	// connsDraining makes every connection close after its current answer;
 	// connsDrained is closed when the last one has gone during a
 	// DrainConns.
 	connMu        sync.Mutex
-	conns         map[heldConn]bool
+	conns         map[*doorConn]struct{}
 	connsDraining atomic.Bool
 	connsDrained  chan struct{}
 }
@@ -328,8 +322,7 @@ func New(cfg Config) (*Server, error) {
 	s.lastTick = s.start
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/txn", s.handleTxn)
-	s.conns = make(map[heldConn]bool)
-	s.mux.HandleFunc(link.Path, s.handleLink)
+	s.conns = make(map[*doorConn]struct{})
 	s.mux.Handle("/metrics", telemetry.MetricsEndpoint{
 		Snapshot:  func(withHistory bool) any { return jsonSnapshot(s.SnapshotNow(withHistory)) },
 		Prom:      func() *telemetry.PromText { return renderProm(s.SnapshotNow(false)) },
@@ -358,52 +351,18 @@ func (s *Server) Requests() *reqtrace.Recorder { return s.rec }
 // GET /debug/incidents), for embedders mounting it on a debug listener.
 func (s *Server) Incidents() *obs.Recorder { return s.obsRec }
 
-// Close stops the measurement loop and severs the connections the server
-// holds (link and front-door); the handler keeps working with the last
-// installed limit.
+// Close stops the measurement loop and severs the front door's
+// connections; the handler keeps working with the last installed limit.
 func (s *Server) Close() {
 	s.loop.Close()
 	s.CloseConns()
 }
 
-// handleLink upgrades a proxy's connection to the link and serves it from
-// this goroutine — the one net/http started for the connection — until
-// the proxy closes it, a drain ends it or it is severed.
-func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
-	if s.connsDraining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	c, err := link.Accept(w, r)
-	if err != nil {
-		return // Accept answered the request itself
-	}
-	s.holdConn(c, true)
-	// Deferred, so that a panic net/http recovers from still unregisters
-	// the connection and a drain does not wait for it until its deadline.
-	defer s.dropConn(c)
-	// A broken connection is the proxy's to report (502, backend dead). A
-	// failed answer write is deliberately not a disconnect here: the
-	// transaction already left through commit or abort, and Totals keeps
-	// one exit per request — as the HTTP adapter's failed Write does.
-	_ = c.Serve(s)
-}
-
-// heldConn is a connection the server holds outside net/http: a
-// *link.ServerConn or a front-door *doorConn.
-type heldConn interface {
-	// Interrupt ends the connection at its next request boundary: an idle
-	// one at once, a busy one after its answer.
-	Interrupt()
-	// Close severs it.
-	Close() error
-}
-
 // holdConn registers c; one that arrives while a drain is under way is
 // interrupted at once.
-func (s *Server) holdConn(c heldConn, isLink bool) {
+func (s *Server) holdConn(c *doorConn) {
 	s.connMu.Lock()
-	s.conns[c] = isLink
+	s.conns[c] = struct{}{}
 	if s.connsDraining.Load() {
 		c.Interrupt()
 	}
@@ -411,7 +370,7 @@ func (s *Server) holdConn(c heldConn, isLink bool) {
 }
 
 // dropConn unregisters c and ends a drain waiting for the last one.
-func (s *Server) dropConn(c heldConn) {
+func (s *Server) dropConn(c *doorConn) {
 	s.connMu.Lock()
 	delete(s.conns, c)
 	if len(s.conns) == 0 && s.connsDrained != nil {
@@ -421,21 +380,15 @@ func (s *Server) dropConn(c heldConn) {
 	s.connMu.Unlock()
 }
 
-// LinkConns returns the number of open link connections.
-func (s *Server) LinkConns() int {
+// DoorConns returns the number of open front-door keep-alive connections.
+func (s *Server) DoorConns() int {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
-	n := 0
-	for _, isLink := range s.conns {
-		if isLink {
-			n++
-		}
-	}
-	return n
+	return len(s.conns)
 }
 
-// CloseConns severs every open link and front-door connection, as a crash
-// would: a transaction in flight still runs but loses its answer. New
+// CloseConns severs every open front-door connection, as a crash would:
+// a transaction in flight still runs but loses its answer. New
 // connections are still accepted afterwards.
 func (s *Server) CloseConns() {
 	s.connMu.Lock()
@@ -446,11 +399,11 @@ func (s *Server) CloseConns() {
 }
 
 // DrainConns is the half of a graceful shutdown http.Server.Shutdown
-// cannot do, to run after it: it ends the link and front-door connections
-// net/http does not track. Idle ones close at once, one with a
-// transaction in flight closes after its answer is written, and no new
-// link upgrade is accepted. It returns nil once all are gone; when ctx
-// ends first it severs the rest and returns ctx's error.
+// cannot do, to run after it: it ends the front-door connections net/http
+// does not track. Idle ones close at once, one with a transaction in
+// flight closes after its answer is written, and one accepted meanwhile
+// closes before its first request. It returns nil once all are gone;
+// when ctx ends first it severs the rest and returns ctx's error.
 func (s *Server) DrainConns(ctx context.Context) error {
 	s.connsDraining.Store(true)
 	s.connMu.Lock()

@@ -7,10 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
-	"github.com/tpctl/loadctl/internal/link"
 	"github.com/tpctl/loadctl/internal/loadsig"
 	"github.com/tpctl/loadctl/internal/reqtrace"
 	"github.com/tpctl/loadctl/internal/sim"
@@ -70,7 +71,7 @@ func (s *Server) resolveClass(req txnRequest) (ci int, shape string, errMsg stri
 	if name != "" {
 		idx, ok := s.multi.ClassIndex(name)
 		if !ok {
-			return 0, "", fmt.Sprintf("unknown class %q (have %s)", name, strings.Join(s.multi.ClassNames(), ", ")) //loadctl:allocok audited: 400 path for an unknown class name
+			return 0, "", fmt.Sprintf("unknown class %q (have %s)", clip(name), strings.Join(s.multi.ClassNames(), ", ")) //loadctl:allocok audited: 400 path for an unknown class name
 		}
 		ci = idx
 	}
@@ -80,15 +81,34 @@ func (s *Server) resolveClass(req txnRequest) (ci int, shape string, errMsg stri
 	switch shape {
 	case "", "query", "update":
 	default:
-		return 0, "", fmt.Sprintf("bad shape %q (want query or update)", shape) //loadctl:allocok audited: 400 path for a bad shape
+		return 0, "", fmt.Sprintf("bad shape %q (want query or update)", clip(shape)) //loadctl:allocok audited: 400 path for a bad shape
 	}
 	return ci, shape, ""
 }
 
+// maxEcho bounds how much of a rejected value a 400 quotes back (a JSON
+// error quotes an out-of-range number whole), so no /txn answer outgrows
+// what the proxy's hop reads, however large the request.
+const maxEcho = 256
+
+// clip cuts s to at most maxEcho bytes, at a rune boundary.
+//
+//loadctl:hotpath
+func clip(s string) string {
+	if len(s) <= maxEcho {
+		return s
+	}
+	n := maxEcho
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return s[:n]
+}
+
 // txnResult is what one transaction answers, independent of the wire it
 // arrived on: the net/http adapter turns it into a status line and
-// headers, the front door into the same answer rendered by hand, the link
-// adapter into a response frame, and none looks inside.
+// headers, the front door into the same answer rendered by hand, and
+// neither looks inside.
 type txnResult struct {
 	// status is the HTTP status code; 0 means the caller went away and
 	// nothing is to be written.
@@ -127,16 +147,6 @@ func (sc *txnScratch) fail(code int, msg, detail string) txnResult {
 	return txnResult{status: code, contentType: contentText, body: sc.buf}
 }
 
-// closeWatcher is how a request whose context never ends tells a queued
-// admission that its caller hung up: link.Request and the front door's
-// doorConn implement it. A net/http request carries the same fact in its
-// context and passes nil. runTxn calls stop once the wait is over; the
-// door's stop does nothing and the door ends the watch itself once runTxn
-// has returned (doorConn.WatchClose says why).
-type closeWatcher interface {
-	WatchClose(cancel context.CancelFunc) (stop func())
-}
-
 // runTxn is the /txn data path, whichever wire the request came in on:
 // parse (query and JSON body), class resolution,
 // tracing, admission, the execute/retry loop, accounting and the rendered
@@ -151,11 +161,14 @@ type closeWatcher interface {
 // the one body is read through; it is copied first and nothing retains
 // it. body is nil when the request has none. traceID 0
 // means the caller propagated none. ctx ends when the caller is known to
-// be gone; cw, when non-nil, is armed only at a contended admission
-// wait — the one place a request blocks for long.
+// be gone. door is the front-door connection the request came in on, nil
+// for net/http, whose request context carries a hang-up itself; the
+// door's context never ends, so its close-watcher is armed instead, and
+// only at a contended admission wait — the one place a request blocks
+// for long.
 //
 //loadctl:hotpath
-func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, body io.Reader, traceID uint64, cw closeWatcher) txnResult {
+func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, body io.Reader, traceID uint64, door *doorConn) txnResult {
 	req := &sc.req
 	// The query is copied before the body is read: rawQuery may alias the
 	// buffer the body arrives through (the front door's), and the copy is
@@ -163,7 +176,7 @@ func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, bo
 	sc.query = append(sc.query[:0], rawQuery...)
 	if body != nil {
 		if err := json.NewDecoder(body).Decode(req); err != nil { //loadctl:allocok audited: request-body decode, only when a body is present
-			return sc.fail(http.StatusBadRequest, "bad JSON body: ", err.Error()) //loadctl:allocok audited: 400 path for malformed JSON
+			return sc.fail(http.StatusBadRequest, "bad JSON body: ", clip(err.Error())) //loadctl:allocok audited: 400 path for malformed JSON
 		}
 	}
 	if errMsg := parseTxnQuery(sc.query, req); errMsg != "" {
@@ -260,14 +273,10 @@ func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, bo
 			// deadline. AcquireFast counted nothing, so the arrival is
 			// counted exactly once, by Acquire.
 			qctx, cancel := context.WithTimeout(ctx, s.cfg.QueueTimeout) //loadctl:allocok audited: contended admission only — the uncontended path fast-admits without a context
-			var stop func()
-			if cw != nil {
-				stop = cw.WatchClose(cancel) //loadctl:allocok audited: contended admission only, beside the context above
+			if door != nil {
+				door.watchClose(cancel) //loadctl:allocok audited: contended admission only, beside the context above
 			}
 			err := s.multi.Acquire(qctx, ci)
-			if stop != nil {
-				stop()
-			}
 			cancel()
 			if errors.Is(err, context.Canceled) {
 				// The caller hung up while queued: its slot in the queue is
@@ -385,37 +394,18 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	if res.contentType == contentText {
 		setHeaderValue(h, "X-Content-Type-Options", "nosniff") // as http.Error does
 	}
+	if len(res.body) > chunkAfter {
+		h["Content-Length"] = []string{strconv.Itoa(len(res.body))} //loadctl:allocok audited: answers over 1 KiB only — rejections quoting their request, or a long class list
+	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 }
 
-// ServeLink is the link adapter of runTxn (it implements link.Handler):
-// one request frame in, one response frame out, on the connection's own
-// goroutine. It asks the connection to close once a drain has begun.
-//
-//loadctl:hotpath
-func (s *Server) ServeLink(req *link.Request, frame []byte) ([]byte, bool) {
-	sc := getTxnScratch()
-	defer putTxnScratch(sc) // after the frame is built: res.body aliases sc.buf
-	var body io.Reader
-	if len(req.Body) > 0 {
-		sc.body.Reset(req.Body)
-		body = &sc.body
-	}
-	// The context never ends: an admitted transaction runs to completion,
-	// and a queued one learns of a hang-up through the close-watcher.
-	res := s.runTxn(context.Background(), sc, req.Query, body, req.TraceID, req)
-	if res.status == 0 {
-		return frame, false
-	}
-	// AppendResponse only refuses header strings or bodies no answer of
-	// runTxn reaches; it then leaves frame empty and the connection ends.
-	frame, _ = link.AppendResponse(frame, &link.Response{
-		Status: res.status, TraceID: res.echo, Signal: res.signal,
-		RetryAfter: res.retryAfter, ContentType: res.contentType, Body: res.body,
-	})
-	return frame, !s.connsDraining.Load()
-}
+// chunkAfter is the answer length past which handleTxn sets
+// Content-Length itself. net/http adds one only to a body it holds whole
+// when the handler returns (2 KiB) and chunks a longer one, but the
+// proxy's hop reads only answers delimited by Content-Length.
+const chunkAfter = 1 << 10
 
 func msSince(t0 time.Time) float64 { return float64(time.Since(t0)) / float64(time.Millisecond) }
 
@@ -504,7 +494,7 @@ func renderProm(snap Snapshot) *telemetry.PromText {
 	counterVec("loadctl_class_timeouts_total", "class requests that gave up waiting for admission",
 		func(c ClassSnapshot) uint64 { return c.Totals.Timeouts })
 	p.Gauge("loadctl_incidents_open", "overload incidents currently open on the flight recorder", float64(snap.IncidentsOpen))
-	p.Gauge("loadctl_link_conns", "open proxy link connections (loadctl-link/1)", float64(snap.LinkConns))
+	p.Gauge("loadctl_door_conns", "open front-door keep-alive connections", float64(snap.DoorConns))
 	telemetry.AppendRuntimeProm(&p, snap.Runtime)
 	return &p
 }

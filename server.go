@@ -165,8 +165,8 @@ func (s *Server) Handler() http.Handler { return s.inner.Handler() }
 // Limit returns the currently installed concurrency bound n*.
 func (s *Server) Limit() float64 { return s.inner.Limit() }
 
-// Close stops the measurement loop and severs any link connections
-// proxies hold to this server (see internal/link).
+// Close stops the measurement loop and severs the front door's
+// keep-alive connections, proxies' included (see internal/link).
 func (s *Server) Close() { s.inner.Close() }
 
 // BeginDrain marks the server as draining: /healthz answers 503 and the
@@ -248,10 +248,9 @@ func Serve(ctx context.Context, cfg ServerConfig) error {
 		if err := hs.Shutdown(shutdownCtx); err != nil {
 			return err
 		}
-		// Shutdown knows neither the proxies' link connections (they are
-		// hijacked) nor the front door's (net/http never saw them): give
-		// their in-flight transactions what is left of the drain, then
-		// close them.
+		// Shutdown does not know the front door's connections, proxies'
+		// included (net/http never saw them): give their in-flight
+		// transactions what is left of the drain, then close them.
 		return s.inner.DrainConns(shutdownCtx)
 	case err := <-errc:
 		return err

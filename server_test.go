@@ -247,10 +247,11 @@ func TestServeGracefulDrain(t *testing.T) {
 }
 
 // TestServeDrainsLinkTransactions is TestServeGracefulDrain for the
-// proxy's wire: link connections are hijacked, so http.Server.Shutdown
-// neither waits for nor closes them. Serve must itself let the link
-// transaction in flight at the cancellation finish and answer, close the
-// idle connections, and still return nil.
+// proxy's hop (internal/link): its keep-alive connections are the front
+// door's, which net/http never saw, so http.Server.Shutdown neither waits
+// for nor closes them. Serve must itself let the hop's transaction in
+// flight at the cancellation finish and answer, close the idle
+// connections, and still return nil.
 func TestServeDrainsLinkTransactions(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -306,10 +307,10 @@ func TestServeDrainsLinkTransactions(t *testing.T) {
 		}
 		long <- code
 	}()
-	state := func() (active, linkConns int) {
+	state := func() (active, doorConns int) {
 		var snap struct {
 			Active    int `json:"active"`
-			LinkConns int `json:"link_conns"`
+			DoorConns int `json:"door_conns"`
 		}
 		resp, err := http.Get(base + "/metrics?format=json")
 		if err != nil {
@@ -317,27 +318,27 @@ func TestServeDrainsLinkTransactions(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		_ = json.NewDecoder(resp.Body).Decode(&snap)
-		return snap.Active, snap.LinkConns
+		return snap.Active, snap.DoorConns
 	}
-	for { // until one transaction is in flight, on one link connection
+	for { // until one transaction is in flight, on one door connection
 		active, conns := state()
 		if active == 1 && conns == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("the long link transaction never showed as active (%d active, %d link connections)", active, conns)
+			t.Fatalf("the long hop transaction never showed as active (%d active, %d door connections)", active, conns)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	// A second connection, idle by the time of the cancellation: the
 	// drain has one of each kind to deal with.
 	if code, err := post("shape=query&k=1"); err != nil || code != http.StatusOK {
-		t.Fatalf("second link connection: %d, %v", code, err)
+		t.Fatalf("second hop connection: %d, %v", code, err)
 	}
 	cancel()
 
 	if code := <-long; code != http.StatusOK {
-		t.Fatalf("link transaction in flight across the drain answered %d, want 200", code)
+		t.Fatalf("hop transaction in flight across the drain answered %d, want 200", code)
 	}
 	select {
 	case err := <-served:
@@ -345,6 +346,6 @@ func TestServeDrainsLinkTransactions(t *testing.T) {
 			t.Fatalf("Serve returned %v after a clean drain, want nil", err)
 		}
 	case <-time.After(25 * time.Second):
-		t.Fatal("Serve did not return after the link drain")
+		t.Fatal("Serve did not return after the hop drain")
 	}
 }
