@@ -90,14 +90,22 @@ func main() {
 	}
 	fmt.Printf("loadctlproxy: routing on %s over %d backends (policy=%s health-interval=%s)\n",
 		*addr, len(urls), p.PolicyName(), *healthInt)
+	// POST /txn is answered by the proxy's own front door on the listener;
+	// every other request goes to net/http.
 	hs := &http.Server{Handler: p.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
+	go func() { errc <- hs.Serve(p.FrontDoor(ln)) }()
 	select {
 	case <-ctx.Done():
 		shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancelShutdown()
 		if err := hs.Shutdown(shutdownCtx); err != nil {
+			log.Fatal(err)
+		}
+		// Shutdown does not know the front door's connections: idle ones
+		// close now, and relays in flight answer with Connection: close
+		// within what is left of the 5 s.
+		if err := p.DrainConns(shutdownCtx); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("loadctlproxy: shut down")

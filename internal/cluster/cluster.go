@@ -24,11 +24,14 @@
 // transactions are not idempotent. A draining backend (graceful
 // shutdown) is taken out of rotation without being counted as failed.
 //
-// The hop to a backend is an http.RoundTripper the relay path does not
-// look inside. By default it is a link.Transport, which writes each
-// routed /txn as a plain HTTP/1.1 request on a pooled keep-alive
-// connection to the backend's front door (see internal/link);
-// Config.Transport pins any other.
+// Both ends of the proxy are hand-served HTTP/1.1 on the request's own
+// goroutine. Clients come in by the front door (FrontDoor, internal/link's
+// Door), which serves POST /txn itself and hands anything else to
+// net/http; Handler serves the same answers on net/http alone. The hop
+// to a backend is by default a link.Transport, which writes each routed
+// /txn as a plain HTTP/1.1 request on a pooled keep-alive connection to
+// the backend's front door (see internal/link); Config.Transport pins any
+// other http.RoundTripper, reached through RoundTrip.
 //
 // Endpoints: POST /txn (the routed data path), GET /metrics (Prometheus
 // text, ?format=json for a snapshot — the same dual-format contract as
@@ -41,6 +44,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -64,7 +68,7 @@ import (
 // BackendHeader names the response header the proxy adds with the index
 // of the backend that served the request — observability for clients and
 // tests, and the ground truth for redistribution assertions.
-const BackendHeader = "X-Loadctl-Backend"
+const BackendHeader = link.BackendHeader
 
 // Config parameterizes the proxy.
 type Config struct {
@@ -145,10 +149,14 @@ func (c Config) withDefaults() Config {
 type backend struct {
 	url string
 	// txnURL and indexStr are precomputed at New so the relay path never
-	// parses, concatenates, or formats per request: forward copies the
-	// pre-parsed URL value and splices in the request's RawQuery.
+	// parses, concatenates, or formats per request: the hop takes the
+	// URL's Host, and roundTrip copies the pre-parsed URL value and
+	// splices in the request's RawQuery.
 	txnURL   url.URL
 	indexStr string
+	// raw is set when the hop can reach the backend: a plain http URL
+	// with no path of its own, so /txn on its Host is the backend's.
+	raw bool
 
 	inflight atomic.Int64 // proxy's own outstanding requests toward it
 
@@ -224,6 +232,8 @@ type Proxy struct {
 	backends []*backend
 	policy   Policy
 	client   *http.Client
+	link     *link.Transport // Config.Transport when it is one: the hop
+	door     *link.Door
 	mux      *http.ServeMux
 	start    time.Time
 
@@ -292,8 +302,11 @@ func New(cfg Config) (*Proxy, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: backend URL %q: %w", u, err)
 		}
-		p.backends = append(p.backends, &backend{url: u, txnURL: *tu, indexStr: strconv.Itoa(len(p.backends))})
+		raw := tu.Scheme == "http" && tu.Path == "/txn" && tu.User == nil && tu.RawQuery == ""
+		p.backends = append(p.backends, &backend{url: u, txnURL: *tu, indexStr: strconv.Itoa(len(p.backends)), raw: raw})
 	}
+	p.link, _ = cfg.Transport.(*link.Transport)
+	p.door = link.NewDoor("cluster", p.serveDoor)
 	cfg.ReqTrace.Tier = "proxy"
 	p.rec = reqtrace.New(cfg.ReqTrace)
 	p.tel = telemetry.NewCounters(1, counterSchema...)
@@ -324,12 +337,38 @@ func New(cfg Config) (*Proxy, error) {
 // Handler returns the HTTP handler serving all proxy endpoints.
 func (p *Proxy) Handler() http.Handler { return p.mux }
 
-// Close stops the health and control loops and drops the idle backend
-// connections; the handler keeps routing on last-known backend state.
+// FrontDoor serves POST /txn on the connections ln accepts, by hand, and
+// returns the listener of everything else, for http.Server serving
+// Handler:
+//
+//	hs.Serve(p.FrontDoor(ln))
+//
+// The door's answers are Handler's. Its connections are not net/http's:
+// DrainConns and CloseConns end them.
+func (p *Proxy) FrontDoor(ln net.Listener) net.Listener { return p.door.Listen(ln) }
+
+// DoorConns returns the number of open front-door keep-alive connections.
+func (p *Proxy) DoorConns() int { return p.door.Conns() }
+
+// CloseConns severs every open front-door connection; a relay in flight
+// loses its answer.
+func (p *Proxy) CloseConns() { p.door.CloseConns() }
+
+// DrainConns is the half of a graceful shutdown http.Server.Shutdown
+// cannot do, to run after it: idle front-door connections close at once,
+// one with a relay in flight after its answer (Connection: close). It
+// returns nil once all are gone; when ctx ends first it severs the rest
+// and returns ctx's error.
+func (p *Proxy) DrainConns(ctx context.Context) error { return p.door.Drain(ctx) }
+
+// Close stops the health and control loops, severs the front door's
+// connections and drops the idle backend connections; the handler keeps
+// routing on last-known backend state.
 func (p *Proxy) Close() {
 	close(p.stop)
 	<-p.done
 	p.loop.Close()
+	p.door.CloseConns()
 	p.client.CloseIdleConnections()
 }
 
@@ -398,20 +437,38 @@ func (p *Proxy) clusterShedding(routable []int, class string) bool {
 	return true
 }
 
-// fastReject answers 503 with a jittered Retry-After: a shed burst with a
-// fixed retry delay would re-arrive in lockstep one period later.
-func fastReject(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", loadsig.RetryAfter())
-	http.Error(w, msg, http.StatusServiceUnavailable)
+// The proxy's own answers, rendered once as http.Error renders them:
+// read-only, shared by every answer.
+var (
+	msgTooLarge   = []byte("request body too large\n")
+	msgNoBackend  = []byte("no backend available\n")
+	msgAllFailed  = []byte("all backends failed\n")
+	msgMidRequest = []byte("backend failed mid-request\n")
+)
+
+// textAnswer is a plain-text answer of the proxy's own.
+//
+//loadctl:hotpath
+func textAnswer(code int, body []byte, echo uint64) link.Answer {
+	return link.Answer{Status: code, ContentType: link.ContentText, Body: body, Trace: echo}
+}
+
+// shedAnswer is a fast 503 with a jittered Retry-After: a shed burst with
+// a fixed retry delay would re-arrive in lockstep one period later.
+//
+//loadctl:hotpath
+func shedAnswer(body []byte, echo uint64) link.Answer {
+	a := textAnswer(http.StatusServiceUnavailable, body, echo)
+	a.RetryAfter = loadsig.RetryAfter()
+	return a
 }
 
 // allowPost is the Allow header of /txn's 405 (RFC 9110 §15.5.6). The
 // slice is shared by every such answer: net/http only reads it.
 var allowPost = []string{http.MethodPost}
 
-// handleTxn is the proxy's data path: every routed transaction passes
-// through here, so it carries the hot-path allocation discipline
-// (//loadctl:hotpath) like the server's handler.
+// handleTxn is the HTTP adapter of relay: it moves bytes between net/http
+// and the relay path and holds no logic of its own.
 //
 //loadctl:hotpath
 func (p *Proxy) handleTxn(w http.ResponseWriter, r *http.Request) {
@@ -420,48 +477,95 @@ func (p *Proxy) handleTxn(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	cell := p.tel.Cell(0, p.seq.Add(1))
-	cell.Inc(cRequests)
 	sc := getRelayScratch()
 	defer putRelayScratch(sc)
+	var body io.Reader
+	if r.Body != nil && r.ContentLength != 0 {
+		body = r.Body
+	}
+	traceID, _ := reqtrace.FromRequest(r)
+	if a := p.relay(r.Context(), sc, r.URL.RawQuery, body, r.ContentLength, traceID, nil); a.Status != 0 {
+		a.WriteHTTP(w)
+	}
+}
+
+// serveDoor is the front door's adapter of relay, as handleTxn is
+// net/http's.
+//
+//loadctl:hotpath
+func (p *Proxy) serveDoor(c *link.Conn) {
+	h := c.Head()
+	sc := getRelayScratch()
+	// The context never ends: a client's hang-up reaches the hop through
+	// the door's close-watcher.
+	if a := p.relay(context.Background(), sc, h.Query, c.Body(), h.BodyLen, h.TraceID, c); a.Status != 0 {
+		c.Answer(&a)
+	}
+	putRelayScratch(sc) // after the answer is written: its body is sc's
+}
+
+// relay is the proxy's /txn data path, whichever door the request came in
+// by: counters, tracing, the body, the overload shed, the pick, the
+// at-most-once failover, dead marking, signal ingest and latency. Every
+// routed transaction passes through here, so it carries the hot-path
+// allocation discipline (//loadctl:hotpath) like the server's runTxn.
+//
+// It returns the answer, Status 0 when the client went away; its body
+// lives in sc until putRelayScratch. rawQuery must stay valid until relay returns. body is nil when the
+// request has none, and bodyLen its length, -1 if unknown. traceID 0
+// means the client sent none. ctx ends when the client is known to be
+// gone; door is the front-door connection the request came in on, nil for
+// net/http, whose request context carries a hang-up itself.
+//
+//loadctl:hotpath
+func (p *Proxy) relay(ctx context.Context, sc *relayScratch, rawQuery string, body io.Reader, bodyLen int64, traceID uint64, door *link.Conn) link.Answer {
+	cell := p.tel.Cell(0, p.seq.Add(1))
+	cell.Inc(cRequests)
 
 	// Per-request tracing. The proxy is the edge: it reuses a client's
 	// trace ID or mints one, records its own routing spans under it, and
 	// forwards the ID so the chosen backend's trace joins this one.
-	traceID, hadTrace := reqtrace.FromRequest(r)
-	if !hadTrace {
+	if traceID == 0 {
 		traceID = reqtrace.NewID()
 	}
 	tr := p.rec.Begin(traceID)
-	idHex := reqtrace.FormatID(traceID) //loadctl:allocok audited: the hex ID rides the forward header on every request, sampled or not
+	var echo uint64
 	if tr.Sampled() {
-		w.Header().Set(reqtrace.Header, idHex)
+		echo = traceID
 	}
 
 	// Buffer the body once so a failed forward can be retried verbatim on
 	// another backend.
-	var body []byte
-	if r.Body != nil && r.ContentLength != 0 {
-		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, p.cfg.MaxBodyBytes+1))
-		if err != nil {
-			cell.Inc(cDisconnects)
-			tr.Finish(reqtrace.StatusDisconnect, false)
-			return
+	var payload []byte
+	if body != nil {
+		tooLarge := bodyLen > p.cfg.MaxBodyBytes
+		if !tooLarge {
+			var err error
+			sc.body, err = readAll(sc.body[:0], body, int(p.cfg.MaxBodyBytes)+1)
+			if err != nil {
+				cell.Inc(cDisconnects)
+				tr.Finish(reqtrace.StatusDisconnect, false)
+				return link.Answer{}
+			}
+			payload = sc.body
+			tooLarge = int64(len(payload)) > p.cfg.MaxBodyBytes
 		}
-		if int64(len(body)) > p.cfg.MaxBodyBytes {
-			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+		if tooLarge {
 			// Count it as served: it left through an HTTP answer the
-			// client saw, not through a routing door.
+			// client saw, not through a routing door. The door does not
+			// read the rest of such a body, so it ends the connection.
 			cell.Inc(cRelayed)
 			tr.Finish(reqtrace.StatusRelayed, true)
-			return
+			a := textAnswer(http.StatusRequestEntityTooLarge, msgTooLarge, echo)
+			a.Close = true
+			return a
 		}
 	}
 
-	class, plain := queryClassFast(r.URL.RawQuery)
+	class, plain := queryClassFast(rawQuery)
 	if !plain {
-		class = r.URL.Query().Get("class") //loadctl:allocok audited: escaped query strings only — plain queries take the zero-alloc scan
+		q, _ := url.ParseQuery(rawQuery) //loadctl:allocok audited: escaped query strings only — plain queries take the zero-alloc scan
+		class = q.Get("class")
 	}
 	tr.Annotate(class)
 	var tried uint64
@@ -472,23 +576,22 @@ func (p *Proxy) handleTxn(w http.ResponseWriter, r *http.Request) {
 		if len(routable) == 0 {
 			if attempt == 0 {
 				cell.Inc(cShedNoBackend)
-				fastReject(w, "no backend available")
 				tr.Finish(reqtrace.StatusShedNoBack, false)
-			} else {
-				cell.Inc(cFailed)
-				http.Error(w, "all backends failed", http.StatusBadGateway)
-				tr.Finish(reqtrace.StatusFailed, false)
+				return shedAnswer(msgNoBackend, echo)
 			}
-			return
+			cell.Inc(cFailed)
+			tr.Finish(reqtrace.StatusFailed, false)
+			return textAnswer(http.StatusBadGateway, msgAllFailed, echo)
 		}
 		if attempt == 0 && p.clusterShedding(routable, class) {
 			// Overload propagation: every live backend shed this class
 			// last interval. Queueing here would only delay the 503 the
 			// cluster is already giving; reject fast so clients back off.
 			cell.Inc(cShedOverload)
-			fastReject(w, fmt.Sprintf("cluster shedding class %q", class)) //loadctl:allocok audited: overload-propagation shed path, not the relay path
 			tr.Finish(reqtrace.StatusShedOverload, false)
-			return
+			sc.msg = append(sc.msg[:0], "cluster shedding class "...)
+			sc.msg = append(strconv.AppendQuote(sc.msg, class), '\n')
+			return shedAnswer(sc.msg, echo)
 		}
 		pickStart := tr.Now()
 		i := p.pick(sc, routable)
@@ -498,8 +601,9 @@ func (p *Proxy) handleTxn(w http.ResponseWriter, r *http.Request) {
 			cell.Inc(cRetries)
 		}
 		relayStart := tr.Now()
-		done, err := p.forward(w, r, sc, i, body, idHex)
-		if done {
+		err := p.forward(ctx, sc, i, rawQuery, payload, traceID, door)
+		if err == nil {
+			rep := &sc.reply
 			tr.Span(reqtrace.SpanRelay, relayStart, reqtrace.DetailRelayed, i)
 			cell.Inc(cRelayed)
 			lat := time.Since(t0)
@@ -509,15 +613,23 @@ func (p *Proxy) handleTxn(w http.ResponseWriter, r *http.Request) {
 			// yields the relay p95 (atomic adds, no allocation).
 			p.relayHist.Observe(lat.Seconds())
 			tr.FinishWall(reqtrace.StatusRelayed, true, lat)
-			return
+			return link.Answer{
+				Status:      rep.Status,
+				ContentType: rep.ContentType,
+				Signal:      rep.Signal,
+				RetryAfter:  rep.RetryAfter,
+				Backend:     p.backends[i].indexStr,
+				Trace:       echo,
+				Body:        rep.Body,
+			}
 		}
-		if r.Context().Err() != nil {
+		if ctx.Err() != nil || errors.Is(err, link.ErrHungUp) {
 			// The client went away; nothing to answer and no blame on the
 			// backend.
 			cell.Inc(cDisconnects)
 			tr.Span(reqtrace.SpanRelay, relayStart, reqtrace.DetailDisconnect, i)
 			tr.Finish(reqtrace.StatusDisconnect, false)
-			return
+			return link.Answer{}
 		}
 		// Transport failure: the backend is unreachable. Mark it dead now
 		// — the health loop revives it.
@@ -531,9 +643,8 @@ func (p *Proxy) handleTxn(w http.ResponseWriter, r *http.Request) {
 			// provably never left the proxy, fail over transparently.
 			cell.Inc(cFailed)
 			tr.Span(reqtrace.SpanRelay, relayStart, reqtrace.DetailError, i)
-			http.Error(w, "backend failed mid-request", http.StatusBadGateway)
 			tr.Finish(reqtrace.StatusFailed, false)
-			return
+			return textAnswer(http.StatusBadGateway, msgMidRequest, echo)
 		}
 		// Dial-level failure: the at-most-once retry stays under the same
 		// trace ID, with this failed attempt on record.
@@ -572,88 +683,96 @@ func retriableForward(err error) bool {
 	return errors.As(err, &op) && op.Op == "dial"
 }
 
-// forward sends the request to backend i and relays the response. It
-// returns done=true when a response (any status) was relayed to the
-// client; done=false with the transport error when the backend could not
-// be reached, leaving the ResponseWriter untouched so the caller may
-// retry elsewhere.
+// forward sends the request to backend i and reads its answer whole into
+// sc.reply, its body into sc.answer. On a failure nothing has been
+// answered, so the caller may retry elsewhere.
 //
-// The outbound request is built by hand from the backend's pre-parsed
-// /txn URL — no string concatenation, no URL parsing, no GetBody
-// snapshot (the proxy does its own at-most-once failover; backends never
-// redirect /txn). Its pieces — URL copy, header map, body reader — are
-// the relay path's deliberate per-request allocations: they escape into
-// the transport, whose write loop can still be consuming them after Do
-// returns when a backend answers before reading the full request, so
-// pooling them would race (see fastrelay.go).
+// A backend the hop can reach (a link.Transport, a plain http URL, a
+// request that Fits) gets the request on the hop itself, with no
+// *http.Request, and its connection back in the pool before the client
+// is answered; any other goes through roundTrip.
 //
 //loadctl:hotpath
-func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, sc *relayScratch, i int, body []byte, traceHex string) (bool, error) {
+func (p *Proxy) forward(ctx context.Context, sc *relayScratch, i int, query string, body []byte, traceID uint64, door *link.Conn) error {
 	b := p.backends[i]
-	u := b.txnURL // copy; the pre-parsed original stays pristine
-	u.RawQuery = r.URL.RawQuery
-	hdr := make(http.Header, 2) //loadctl:allocok audited: escapes into the transport — see the function comment
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		hdr["Content-Type"] = []string{ct} //loadctl:allocok audited: escapes into the transport — see the function comment
+	b.forwarded.Add(1)
+	b.inflight.Add(1)
+	t0 := time.Now() //loadctl:allocok audited: relay-latency clock read for the EWMA — the proxy's sanctioned t0
+	var err error
+	if p.link != nil && b.raw && link.Fits(b.txnURL.Host, query, int64(len(body))) {
+		if sc.reply, err = p.link.Do(ctx, b.txnURL.Host, query, body, traceID, door, sc.answer[:0]); err == nil {
+			sc.answer = sc.reply.Body
+		}
+	} else {
+		err = p.roundTrip(ctx, sc, b, query, body, traceID) //loadctl:allocok audited: the HTTP path — another transport, a backend URL or a request the hop does not take
 	}
+	b.inflight.Add(-1)
+	if err != nil {
+		b.errs.Add(1)
+		return err
+	}
+	p.ingest(b, sc.reply.Signal)
+	b.noteLatency(time.Since(t0))
+	b.relayed.Add(1)
+	return nil
+}
+
+// errLongAnswer fails an HTTP-path answer the hop would not carry either.
+var errLongAnswer = errors.New("cluster: backend answer over link.MaxAnswer")
+
+// roundTrip is forward's HTTP path, through Config.Transport's RoundTrip:
+// for a transport that is not a link.Transport, a backend URL the hop
+// does not take (https, a path prefix), or a request too long for it. The
+// outbound request is built by hand from the backend's pre-parsed /txn
+// URL — no string concatenation, no URL parsing; GetBody keeps it
+// replayable for the transport's own retry on a dead idle connection,
+// and the proxy does its own at-most-once failover (backends never
+// redirect /txn). Its pieces are allocated per request: see fastrelay.go.
+// The answer is read whole into sc, as forward's.
+func (p *Proxy) roundTrip(ctx context.Context, sc *relayScratch, b *backend, query string, body []byte, traceID uint64) error {
+	u := b.txnURL // copy; the pre-parsed original stays pristine
+	u.RawQuery = query
 	// Propagate the trace ID: the backend records its spans under the
 	// same trace, and head sampling (a pure function of the ID) picks the
 	// same requests on both tiers.
-	hdr[reqtrace.Header] = []string{traceHex} //loadctl:allocok audited: escapes into the transport — see the function comment
 	req := (&http.Request{
 		Method: http.MethodPost,
 		URL:    &u,
-		Header: hdr,
-	}).WithContext(r.Context())
+		Header: http.Header{reqtrace.Header: {reqtrace.FormatID(traceID)}},
+	}).WithContext(ctx)
 	if body != nil {
-		br := &relayBody{} //loadctl:allocok audited: escapes into the transport — see the function comment
-		br.Reset(body)
-		req.Body = br
+		body = bytes.Clone(body) // sc.body is reused once relay returns
+		rb := &relayBody{}
+		rb.Reset(body)
+		req.Body = rb
 		req.ContentLength = int64(len(body))
-		// GetBody keeps the request replayable so the transport can retry
-		// it transparently when a kept-alive idle connection turns out to
-		// have died — without it a stale-connection race would surface as
-		// a backend failure.
-		req.GetBody = func() (io.ReadCloser, error) { //loadctl:allocok audited: escapes into the transport — see the function comment
+		req.GetBody = func() (io.ReadCloser, error) {
 			rb := &relayBody{}
 			rb.Reset(body)
 			return rb, nil
 		}
 	}
-	b.forwarded.Add(1)
-	b.inflight.Add(1)
-	t0 := time.Now() //loadctl:allocok audited: relay-latency clock read for the EWMA — the proxy's sanctioned t0
-	// The transport is driven directly, not through http.Client: the proxy
-	// relays 3xx answers verbatim rather than following them, has no
-	// cookie jar, and bounds the call with the inbound request's context —
-	// everything Client.do would add is redirect machinery that clones the
-	// header map on every request.
-	resp, err := p.client.Transport.RoundTrip(req)
-	b.inflight.Add(-1)
+	resp, err := p.cfg.Transport.RoundTrip(req)
 	if err != nil {
-		b.errs.Add(1)
-		return false, err
+		return err
 	}
 	defer resp.Body.Close()
-	p.ingest(b, resp)
-	b.noteLatency(time.Since(t0))
-	b.relayed.Add(1)
-
-	h := w.Header()
-	for _, key := range relayHeaders {
-		if v := resp.Header.Get(key); v != "" {
-			setHeader(h, key, v)
-		}
+	sc.answer, err = readAll(sc.answer[:0], resp.Body, link.MaxAnswer+1)
+	if err != nil {
+		return err
 	}
-	setHeader(h, BackendHeader, b.indexStr)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.CopyBuffer(w, resp.Body, sc.copyBuf)
-	return true, nil
+	if len(sc.answer) > link.MaxAnswer {
+		return errLongAnswer
+	}
+	sc.reply = link.Reply{
+		Status:      resp.StatusCode,
+		ContentType: resp.Header.Get("Content-Type"),
+		RetryAfter:  resp.Header.Get("Retry-After"),
+		Signal:      resp.Header.Get(loadsig.Header),
+		Body:        sc.answer,
+	}
+	return nil
 }
-
-// relayHeaders are the backend response headers the proxy relays to the
-// client (hoisted so the relay loop does not rebuild the list per request).
-var relayHeaders = [...]string{"Content-Type", "Retry-After", loadsig.Header}
 
 // relayBody is the outbound request body: a bytes.Reader over the
 // buffered request bytes that satisfies io.ReadCloser without the
@@ -669,8 +788,7 @@ func (*relayBody) Close() error { return nil }
 // sigRaw, so a raw match always sees a signal at least that new).
 //
 //loadctl:hotpath
-func (p *Proxy) ingest(b *backend, resp *http.Response) {
-	h := resp.Header.Get(loadsig.Header)
+func (p *Proxy) ingest(b *backend, h string) {
 	if h == "" {
 		return
 	}

@@ -1,35 +1,42 @@
 // Relay fast-path plumbing: the pooled per-request scratch and the
-// allocation-free helpers behind the proxy's /txn data path (handleTxn /
+// allocation-free helpers behind the proxy's /txn data path (relay and
 // forward in cluster.go).
 //
-// The pooling line is drawn at the transport boundary. Scratch state that
-// stays inside one handleTxn call — the routable set, the policy's
-// scoring slate, the response copy buffer — is pooled and reused.
-// Anything that escapes into the outbound http.Request (the URL copy,
-// the header map, the body reader) is allocated fresh per request: the
+// Everything one relay pass works in is pooled and reused: the routable
+// set, the policy's scoring slate, the request body, the text of a shed
+// answer, and a copy of the backend's answer until it is written, so the
+// hop connection goes back to its pool first. On the hop
+// (link.Transport.Do) nothing escapes: the request is copied into the
+// connection's own buffer and written on the caller's goroutine. Only
+// forward's HTTP path (roundTrip) allocates the outbound request afresh —
+// URL copy, header map, body reader, body copy — because a net/http
 // transport writes the request from its own goroutine, and on a backend
-// that answers before consuming the full request, Do can return while
-// that goroutine is still reading the request's memory. Reusing it would
-// be a data race with a remote trigger, so those few allocations are the
-// audited, deliberate remainder of the relay budget.
+// that answers before consuming the whole request, RoundTrip can return
+// while that goroutine is still reading the request's memory. Reusing it
+// would be a data race with a remote trigger.
 package cluster
 
 import (
-	"net/http"
+	"io"
 	"strings"
 	"sync"
+
+	"github.com/tpctl/loadctl/internal/link"
 )
 
 // relayScratch is the pooled working state of one relay pass.
 type relayScratch struct {
 	routable []int
 	cands    []Candidate
-	copyBuf  []byte // io.CopyBuffer scratch for relaying response bodies
+	body     []byte     // the request body, kept for a failover
+	msg      []byte     // a shed answer's text
+	reply    link.Reply // the backend's answer, read whole by forward
+	answer   []byte     // its body
 }
 
-// relayCopyBufSize matches io.Copy's internal buffer; pooling it keeps
-// the response relay from allocating 32KiB per request.
-const relayCopyBufSize = 32 << 10
+// keepBuf is the largest body buffer a scratch keeps: a larger one is
+// dropped once used, so the pool does not pin the largest body seen.
+const keepBuf = 64 << 10
 
 var relayScratchPool sync.Pool
 
@@ -37,13 +44,46 @@ var relayScratchPool sync.Pool
 func getRelayScratch() *relayScratch {
 	sc, ok := relayScratchPool.Get().(*relayScratch)
 	if !ok {
-		sc = &relayScratch{copyBuf: make([]byte, relayCopyBufSize)} //loadctl:allocok audited: pool miss — cold start only, the steady state reuses released scratches
+		sc = &relayScratch{} //loadctl:allocok audited: pool miss — cold start only, the steady state reuses released scratches
 	}
 	return sc
 }
 
+// putRelayScratch returns sc to the pool once its answer is written.
+//
 //loadctl:hotpath
-func putRelayScratch(sc *relayScratch) { relayScratchPool.Put(sc) }
+func putRelayScratch(sc *relayScratch) {
+	if cap(sc.body) > keepBuf {
+		sc.body = nil
+	}
+	if cap(sc.answer) > keepBuf {
+		sc.answer = nil
+	}
+	sc.reply = link.Reply{}
+	relayScratchPool.Put(sc)
+}
+
+// readAll appends what r holds to dst, up to limit bytes: a body longer
+// than limit reads as limit bytes, which the caller refuses. It is
+// io.ReadAll into a reused buffer.
+//
+//loadctl:hotpath
+func readAll(dst []byte, r io.Reader, limit int) ([]byte, error) {
+	for len(dst) < limit {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)] //loadctl:allocok audited: grows the pooled buffer to the largest body in the pool's life; putRelayScratch drops one over 64 KiB
+		}
+		n, err := r.Read(dst[len(dst):min(cap(dst), limit)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
 
 // queryClassFast extracts the first "class" query parameter from a raw
 // query string without allocating, agreeing with url.Values.Get on the
@@ -74,19 +114,4 @@ func queryClassFast(raw string) (class string, ok bool) {
 		}
 	}
 	return "", true
-}
-
-// setHeader installs key: value like Header.Set but overwrites in place
-// when the slot already holds exactly one value — Set allocates a fresh
-// one-element slice every call, which on a reused response header map
-// (keep-alive connections, pooled recorders) is pure churn. key must
-// already be in canonical form; every caller passes a canonical constant.
-//
-//loadctl:hotpath
-func setHeader(h http.Header, key, value string) {
-	if vs := h[key]; len(vs) == 1 {
-		vs[0] = value
-		return
-	}
-	h[key] = []string{value} //loadctl:allocok audited: first write to this header slot; later writes reuse the slice in place
 }

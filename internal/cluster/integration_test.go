@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,8 +217,7 @@ func runClusterScenario(t *testing.T, policy string) (loadgen.ScenarioReport, Sn
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
+	front := serveProxy(t, p)
 
 	act := &fleetActuator{backends: backends}
 	var (

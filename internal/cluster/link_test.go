@@ -82,9 +82,18 @@ func passiveProxy(t *testing.T, cfg Config) (*Proxy, *httptest.Server) {
 	cfg.SignalStale = time.Hour
 	cfg.ReqTrace = reqtrace.Config{SampleEvery: 1}
 	p := newTestProxy(t, cfg)
-	ts := httptest.NewServer(p.Handler())
-	t.Cleanup(ts.Close)
-	return p, ts
+	return p, serveProxy(t, p)
+}
+
+// serveProxy serves p as cmd/loadctlproxy does — the front door on a
+// loopback listener, net/http behind it — on an httptest server.
+func serveProxy(t *testing.T, p *Proxy) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(p.Handler())
+	ts.Listener = p.FrontDoor(ts.Listener)
+	ts.Start()
+	t.Cleanup(ts.Close) // the door's own connections close with p
+	return ts
 }
 
 func assertDoors(t *testing.T, p *Proxy) {

@@ -103,7 +103,7 @@ type Snapshot struct {
 //	Requests == Relayed + FastRejectedOverload + FastRejectedNoBackend
 //	          + Failed + Disconnects
 //
-// holds exactly at quiescence: every request that enters handleTxn leaves
+// holds exactly at quiescence: every request that enters relay leaves
 // through exactly one of those doors.
 type Totals struct {
 	Requests              uint64 `json:"requests"`

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
@@ -58,8 +57,7 @@ func TestClusterOverloadIncidentTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
+	front := serveProxy(t, p)
 
 	// The monitor watches the whole fleet while the scenario runs.
 	targets := append([]string{front.URL}, urls...)

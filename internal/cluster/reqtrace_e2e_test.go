@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -39,8 +38,7 @@ func TestEndToEndRequestTracing(t *testing.T) {
 		HealthInterval: 25 * time.Millisecond,
 		ReqTrace:       reqtrace.Config{SampleEvery: 8},
 	})
-	front := httptest.NewServer(p.Handler())
-	defer front.Close()
+	front := serveProxy(t, p)
 
 	// ---- (a) one head-sampled request, visible in both rings ----
 	const sampledID = "0000000000000008" // 8 ≡ 0 mod SampleEvery

@@ -20,9 +20,9 @@ import (
 // The link row's backend runs the real /txn path over an engine that
 // commits at once, so the figure is the wire plus the door and the
 // transaction path's bookkeeping. The request carries a cancellable
-// context, as every request cluster.forward relays does, so the link row
-// includes what honouring a cancel costs: the allocations of
-// context.AfterFunc (see conn.roundTrip), which are all the round trip
+// context, as every request the proxy relays for net/http does, so the
+// link row includes what honouring a cancel costs: the allocations of
+// context.AfterFunc (see conn.send), which are all the round trip
 // allocates. CI gates that count exactly.
 func BenchmarkLinkHop(b *testing.B) {
 	run := func(b *testing.B, rt http.RoundTripper, url string) {

@@ -7,12 +7,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	"github.com/tpctl/loadctl/internal/loadsig"
 	"github.com/tpctl/loadctl/internal/reqtrace"
@@ -22,18 +24,17 @@ import (
 // not capped. The figure is the HTTP transport's MaxIdleConnsPerHost.
 const maxIdle = 256
 
-// Transport is the proxy's outbound http.RoundTripper. A POST /txn over
-// plain http with a body of known length within MaxBody and a head within
-// HeadBudget goes out raw on a pooled connection; everything else —
-// health probes, oversized or chunked bodies, overlong queries — goes
-// through an embedded http.Transport unchanged.
+// Transport is the proxy's outbound hop. Do sends a routed POST /txn raw
+// on a pooled connection. As an http.RoundTripper, a POST /txn over plain
+// http that Fits goes out the same way, and everything else — health
+// probes, oversized or chunked bodies, overlong queries — goes through an
+// embedded http.Transport unchanged.
 //
 // The *http.Response of a raw round trip, its header map and its body
 // belong to the connection and are reused: they are valid until
-// Body.Close, which returns the connection to the pool. That is how
-// cluster.forward already uses a response, and it leaves the round trip
-// with no allocation of its own: what a relayed request still pays is
-// context.AfterFunc's two objects (see conn.roundTrip).
+// Body.Close, which returns the connection to the pool. That leaves the
+// round trip with no allocation of its own: what a cancellable request
+// still pays is context.AfterFunc's two objects (see conn.send).
 type Transport struct {
 	fallback *http.Transport
 	dialer   net.Dialer
@@ -119,24 +120,33 @@ func (t *Transport) host(addr string) *host {
 const headFixed = len("POST /txn? HTTP/1.1\r\nHost: \r\nContent-Length: 1048576\r\n" +
 	reqtrace.Header + ": 0123456789abcdef\r\n\r\n")
 
-// linkable reports whether req goes out raw: a routed transaction whose
-// body length is known and within MaxBody, whose head fits HeadBudget,
-// and whose query the door takes as it is (visible ASCII).
+// Fits reports whether a POST /txn to host (a URL's Host) with this raw
+// query and a body of bodyLen bytes goes out raw: the body is within
+// MaxBody, the head fits HeadBudget, and the query is one the door takes
+// as it is (visible ASCII). Do takes only such a request; RoundTrip sends
+// any other through its HTTP fallback.
 //
 //loadctl:hotpath
-func linkable(req *http.Request) bool {
-	u := req.URL
-	if req.Method != http.MethodPost || u.Scheme != "http" || u.Path != "/txn" ||
-		req.ContentLength < 0 || req.ContentLength > MaxBody ||
-		headFixed+len(u.Host)+len(u.RawQuery) > HeadBudget {
+func Fits(host, query string, bodyLen int64) bool {
+	if bodyLen < 0 || bodyLen > MaxBody || headFixed+len(host)+len(query) > HeadBudget {
 		return false
 	}
-	for i := 0; i < len(u.RawQuery); i++ {
-		if c := u.RawQuery[i]; c <= ' ' || c >= 0x7f {
+	for i := 0; i < len(query); i++ {
+		if c := query[i]; c <= ' ' || c >= 0x7f {
 			return false
 		}
 	}
 	return true
+}
+
+// linkable reports whether req goes out raw: a routed transaction over
+// plain http that Fits.
+//
+//loadctl:hotpath
+func linkable(req *http.Request) bool {
+	u := req.URL
+	return req.Method == http.MethodPost && u.Scheme == "http" && u.Path == "/txn" &&
+		Fits(u.Host, u.RawQuery, req.ContentLength)
 }
 
 // RoundTrip implements http.RoundTripper.
@@ -151,7 +161,70 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		closeBody(req)
 		return nil, err
 	}
-	return c.roundTrip(req)
+	if err := c.fill(req); err != nil {
+		c.nc.Close()
+		return nil, err
+	}
+	if err := c.send(req.Context(), nil); err != nil {
+		return nil, err
+	}
+	return c.response(req), nil
+}
+
+// Reply is a backend's answer to Do.
+type Reply struct {
+	Status      int
+	ContentType string
+	RetryAfter  string
+	Signal      string // X-Loadctl-Load
+	Body        []byte
+}
+
+// hangupGrace is how long Do waits for an answer before it arms the
+// front door's close-watcher: an answer within it starts no goroutine.
+const hangupGrace = time.Millisecond
+
+// ErrHungUp is Do's error when the client of the door connection it was
+// given hung up before the answer: the hop connection was closed under
+// the request, as the client's own connection was.
+var ErrHungUp = errors.New("link: the client hung up")
+
+// Do sends one routed POST /txn, which must Fit, to the backend at host
+// and reads its answer, on the caller's goroutine and with no
+// *http.Request or *http.Response: the head (request line, Host,
+// Content-Length, X-Loadctl-Trace when traceID is not 0) and the body go
+// out in one Write. The answer's body is appended to dst, and the
+// connection is back in its pool when Do returns. ctx is honoured as in
+// RoundTrip, and errors are RoundTrip's: a refused dial is the dial error
+// it is, anything after the write a plain error.
+//
+// door is the front-door connection the request came in on, or nil. An
+// answer slower than hangupGrace arms door's close-watcher; a client that
+// hangs up meanwhile closes the hop connection, so the backend learns of
+// it as it would of its own client's hang-up, and Do fails with
+// ErrHungUp.
+//
+//loadctl:hotpath
+func (t *Transport) Do(ctx context.Context, host, query string, body []byte, traceID uint64, door *Conn, dst []byte) (Reply, error) {
+	c, err := t.conn(ctx, t.host(host))
+	if err != nil {
+		return Reply{}, err
+	}
+	c.wbuf = appendHead(c.wbuf[:0], host, query, len(body), traceID)
+	c.wbuf = append(c.wbuf, body...) //loadctl:allocok audited: a body beyond the connection's buffer; dropped again by trim when over 64 KiB
+	if err := c.send(ctx, door); err != nil {
+		return Reply{}, err
+	}
+	vals := c.kept()
+	r := Reply{
+		Status:      c.ans.status,
+		ContentType: vals[keptType],
+		RetryAfter:  vals[keptRetry],
+		Signal:      vals[keptSignal],
+		Body:        append(dst, c.ans.body...), //loadctl:allocok audited: grows the caller's buffer to the largest answer it keeps
+	}
+	c.release()
+	return r, nil
 }
 
 //loadctl:hotpath
@@ -198,6 +271,10 @@ func (t *Transport) dial(ctx context.Context, h *host) (*conn, error) {
 	h.dials.Add(1)
 	c := &conn{h: h, nc: nc, hdr: make(http.Header, 4)}
 	c.abort = func() { c.nc.Close() }
+	c.hangup = func() {
+		c.hungUp.Store(true)
+		c.nc.Close()
+	}
 	c.body.c = c
 	c.res = http.Response{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: c.hdr, Body: &c.body}
 	if sc, ok := nc.(syscall.Conn); ok {
@@ -221,6 +298,15 @@ type conn struct {
 	probeBuf [1]byte
 
 	abort func() // closes nc: the context.AfterFunc callback
+
+	// The front door's close-watcher, for Do: door is the client's
+	// connection during an exchange, watching is set once the watcher is
+	// armed, and hangup, its callback, notes the hang-up in hungUp and
+	// closes nc.
+	door     *Conn
+	watching bool
+	hangup   func()
+	hungUp   atomic.Bool
 
 	rbuf, wbuf []byte
 	ans        answer // the parsed answer
@@ -267,13 +353,21 @@ func (b *body) WriteTo(w io.Writer) (int64, error) {
 //
 //loadctl:hotpath
 func (b *body) Close() error {
-	if !b.open {
-		return nil
+	if b.open {
+		b.open = false
+		b.c.release()
 	}
-	b.open = false
-	c := b.c
+	return nil
+}
+
+// release returns c to its backend's idle pool once its answer is
+// consumed, unless the answer said Connection: close.
+//
+//loadctl:hotpath
+func (c *conn) release() {
 	if c.ans.close {
-		return c.nc.Close()
+		c.nc.Close()
+		return
 	}
 	c.rbuf, c.wbuf = trim(c.rbuf), trim(c.wbuf)
 	h := c.h
@@ -286,33 +380,31 @@ func (b *body) Close() error {
 	if c != nil {
 		c.nc.Close()
 	}
-	return nil
 }
 
-// roundTrip sends req and reads the answer. The request's context is
-// honoured by closing the connection, which fails the pending read or
-// write; a connection that was ever aborted, or that still owes an
-// answer, never returns to the pool.
+// send writes the request in wbuf and reads the answer. ctx is honoured
+// by closing the connection, which fails the pending read or write; a
+// connection that was ever aborted, or that still owes an answer, never
+// returns to the pool.
 //
 //loadctl:hotpath
-func (c *conn) roundTrip(req *http.Request) (*http.Response, error) {
-	ctx := req.Context()
+func (c *conn) send(ctx context.Context, door *Conn) error {
 	var stop func() bool
 	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, c.abort) //loadctl:allocok audited: two objects per cancellable request, which every relayed one is — the price of honouring a cancel without a reader goroutine per connection
+		stop = context.AfterFunc(ctx, c.abort) //loadctl:allocok audited: two objects per cancellable request, which every request relayed through net/http is — the price of honouring a cancel without a reader goroutine per connection
 	}
-	err := c.exchange(req)
+	err := c.exchange(door)
 	if stop != nil && !stop() && err == nil {
 		err = ctx.Err() // cancelled under us: c.abort is closing the socket
 	}
 	if err != nil {
 		c.nc.Close()
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return nil, err
+		return err
 	}
-	return c.response(req), nil
+	return nil
 }
 
 // appendHead appends the head of a routed POST /txn: the request line,
@@ -336,10 +428,10 @@ func appendHead(b []byte, host, query string, bodyLen int, traceID uint64) []byt
 	return append(b, "\r\n\r\n"...)
 }
 
-// exchange is the wire half of roundTrip: one write, then the answer.
+// fill puts req's head and body into wbuf.
 //
 //loadctl:hotpath
-func (c *conn) exchange(req *http.Request) error {
+func (c *conn) fill(req *http.Request) error {
 	traceID, _ := reqtrace.FromRequest(req)
 	n := int(req.ContentLength)
 	if req.Body == nil {
@@ -360,10 +452,51 @@ func (c *conn) exchange(req *http.Request) error {
 	} else {
 		closeBody(req)
 	}
+	return nil
+}
+
+// exchange is the wire half of send: one write, then the answer. With a
+// door, the read runs under the hang-up grace (read), and the watcher it
+// may have armed is ended before the connection can be reused.
+//
+//loadctl:hotpath
+func (c *conn) exchange(door *Conn) error {
 	if _, err := c.nc.Write(c.wbuf); err != nil {
 		return err
 	}
-	return c.readAnswer()
+	if door == nil {
+		return c.readAnswer()
+	}
+	c.door = door
+	_ = c.nc.SetReadDeadline(door.door.now().Add(hangupGrace))
+	err := c.readAnswer()
+	if c.watching {
+		c.watching = false
+		door.endWatch()
+		if c.hungUp.Load() {
+			err = ErrHungUp
+		}
+	} else {
+		_ = c.nc.SetReadDeadline(time.Time{})
+	}
+	c.door = nil
+	return err
+}
+
+// read reads from the backend. Past the hang-up grace, a read that would
+// have failed on the deadline arms the door's close-watcher and reads on
+// without one.
+//
+//loadctl:hotpath
+func (c *conn) read(p []byte) (int, error) {
+	n, err := c.nc.Read(p)
+	if n == 0 && c.door != nil && !c.watching && errors.Is(err, os.ErrDeadlineExceeded) {
+		_ = c.nc.SetReadDeadline(time.Time{})
+		c.watching = true
+		c.door.WatchClose(c.hangup) //loadctl:allocok audited: an answer slower than the grace only — the watcher's goroutine and channel
+		n, err = c.nc.Read(p)
+	}
+	return n, err
 }
 
 // Errors an answer fails with; the request was sent, so the proxy
@@ -385,7 +518,7 @@ func (c *conn) readAnswer() error {
 	buf := c.rbuf[:cap(c.rbuf)]
 	n := 0
 	for {
-		m, err := c.nc.Read(buf[n:])
+		m, err := c.read(buf[n:])
 		n += m
 		done, perr := parseAnswer(buf[:n], &c.ans)
 		if perr != nil {
@@ -414,11 +547,14 @@ func (c *conn) readAnswer() error {
 		buf = grown
 	}
 	c.rbuf = buf
-	if _, err := io.ReadFull(c.nc, buf[n:total]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	for n < total {
+		m, err := c.read(buf[n:total])
+		if n += m; err != nil && n < total {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
 		}
-		return err
 	}
 	c.ans.body = buf[c.ans.n:total]
 	return nil
@@ -511,7 +647,7 @@ func parseAnswer(b []byte, a *answer) (done bool, err error) {
 	a.n = end + 4
 	line, rest, _ := strings.Cut(s[:end+2], "\r\n")
 	if len(line) < len("HTTP/1.1 200") || line[:9] != "HTTP/1.1 " ||
-		len(line) > 12 && line[12] != ' ' || !IsFieldValue(line[12:]) {
+		len(line) > 12 && line[12] != ' ' || !isFieldValue(line[12:]) {
 		return false, errAnswer
 	}
 	for i := 9; i < 12; i++ {
@@ -528,14 +664,14 @@ func parseAnswer(b []byte, a *answer) (done bool, err error) {
 	for rest != "" {
 		line, rest, _ = strings.Cut(rest, "\r\n")
 		name, value, ok := strings.Cut(line, ":")
-		if !ok || !IsToken(name) || !IsFieldValue(value) {
+		if !ok || !isToken(name) || !isFieldValue(value) {
 			return false, errAnswer
 		}
-		value = TrimOWS(value)
+		value = trimOWS(value)
 		switch f := field(name); f {
 		case fieldLength:
 			lengths++
-			if a.bodyLen, ok = ParseLength(value, MaxAnswer); !ok {
+			if a.bodyLen, ok = parseLength(value, MaxAnswer); !ok {
 				return false, errAnswer
 			}
 		case fieldEncoding:
@@ -564,7 +700,7 @@ func hasClose(v string) bool {
 	for v != "" {
 		var tok string
 		tok, v, _ = strings.Cut(v, ",")
-		tok = TrimOWS(tok)
+		tok = trimOWS(tok)
 		if len(tok) != len("close") {
 			continue
 		}
@@ -591,16 +727,31 @@ func keep(prev, v string) string {
 	return strings.Clone(v) //loadctl:allocok audited: the header value changed — once per backend control interval for the load signal, shed answers for Retry-After, head-sampled requests for the trace echo
 }
 
+// kept returns the parsed answer's kept header values as strings that
+// outlive the read buffer, "" for a header the answer lacks. c.vals
+// caches the last of each, so a value repeated from the last answer
+// costs nothing.
+//
+//loadctl:hotpath
+func (c *conn) kept() (vals [numKept]string) {
+	for f, v := range c.ans.vals {
+		if v != "" {
+			c.vals[f] = keep(c.vals[f], v)
+			vals[f] = c.vals[f]
+		}
+	}
+	return vals
+}
+
 // response rebuilds the connection's *http.Response from the parsed
-// answer, with exactly the headers cluster.forward and ingest read.
+// answer, with exactly the headers cluster's relay reads.
 //
 //loadctl:hotpath
 func (c *conn) response(req *http.Request) *http.Response {
 	clear(c.hdr)
-	for f, v := range c.ans.vals {
+	for f, v := range c.kept() {
 		if v != "" {
-			c.vals[f] = keep(c.vals[f], v)
-			c.one[f][0] = c.vals[f]
+			c.one[f][0] = v
 			c.hdr[keptNames[f]] = c.one[f][:]
 		}
 	}

@@ -7,10 +7,10 @@ import "strings"
 // two cannot drift; FuzzFrontDoorHead and FuzzHopResponse hold it to
 // net/http from either side.
 
-// ParseLength reads a Content-Length of 1 to 8 digits, at most limit.
+// parseLength reads a Content-Length of 1 to 8 digits, at most limit.
 //
 //loadctl:hotpath
-func ParseLength(v string, limit int) (int, bool) {
+func parseLength(v string, limit int) (int, bool) {
 	if v == "" || len(v) > 8 {
 		return 0, false
 	}
@@ -24,10 +24,10 @@ func ParseLength(v string, limit int) (int, bool) {
 	return n, n <= limit
 }
 
-// TrimOWS drops the optional whitespace around a field value.
+// trimOWS drops the optional whitespace around a field value.
 //
 //loadctl:hotpath
-func TrimOWS(s string) string {
+func trimOWS(s string) string {
 	for s != "" && (s[0] == ' ' || s[0] == '\t') {
 		s = s[1:]
 	}
@@ -37,10 +37,10 @@ func TrimOWS(s string) string {
 	return s
 }
 
-// IsToken reports whether s is a non-empty RFC 9110 token.
+// isToken reports whether s is a non-empty RFC 9110 token.
 //
 //loadctl:hotpath
-func IsToken(s string) bool {
+func isToken(s string) bool {
 	if s == "" {
 		return false
 	}
@@ -56,11 +56,11 @@ func IsToken(s string) bool {
 	return true
 }
 
-// IsFieldValue reports whether s holds only field-value bytes: visible
+// isFieldValue reports whether s holds only field-value bytes: visible
 // ASCII, space, tab and obs-text.
 //
 //loadctl:hotpath
-func IsFieldValue(s string) bool {
+func isFieldValue(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < ' ' && c != '\t' || c == 0x7f {
 			return false

@@ -1,22 +1,33 @@
-// Package link is the proxy⇄backend hop: an http.RoundTripper that writes
-// each routed POST /txn as one plain HTTP/1.1 keep-alive request and reads
-// back one answer delimited by Content-Length, on the caller's goroutine.
-// net/http's client spends three goroutine hand-offs per round trip; the
-// ledger (bench/) put that hand-off cost at over half of a proxied round
-// trip, against a few microseconds of proxy logic and of transaction work.
+// Package link is the hand-served HTTP/1.1 wire of POST /txn, both
+// ends of it, on the request's own goroutine:
 //
-// The other end is loadctld's front door (internal/server's FrontDoor),
-// which serves POST /txn by hand on the connection's own goroutine. The
-// two halves share one budget, HeadBudget: the door reads request heads
-// into a buffer of that size, and Transport sends raw only what fits it,
-// so every request it writes is one the door serves rather than hands to
-// net/http.
+//   - Door, the front door both tiers serve through: loadctld
+//     (internal/server) and loadctlproxy (internal/cluster) each supply
+//     only a Handler, and the door owns the accept loop, the head parser,
+//     the handoff of everything else to net/http, the close-watcher, the
+//     answer writer and the drain;
+//   - Transport, the proxy⇄backend hop: Do writes each routed POST /txn as
+//     one plain HTTP/1.1 keep-alive request and reads back one answer
+//     delimited by Content-Length, with no *http.Request or
+//     *http.Response; RoundTrip does the same for an http.RoundTripper
+//     caller.
+//
+// net/http spends goroutine hand-offs on every request on either side;
+// the ledger (bench/) put that cost at over half of a proxied round trip,
+// against a few microseconds of proxy logic and of transaction work.
+//
+// The hop's far end is a backend's door. The two share one budget,
+// HeadBudget: the door reads request heads into a buffer of that size,
+// and Transport sends raw only what fits it, so every request it writes
+// is one the door serves rather than hands to net/http.
 //
 // One request is in flight per connection. The caller's goroutine writes
 // the request and reads the answer; nothing is handed to another
-// goroutine on either end, which is where the measured time went.
-// Pipelining is deliberately absent: the benchmark's C = min(nproc, 4)
-// connections cannot show it (ROADMAP item 2).
+// goroutine on either end, which is where the measured time went. A
+// proxy's door relay learns of its client's hang-up only when the answer
+// is slow: past hangupGrace, Do arms the door's close-watcher.
+// Pipelining is deliberately absent on the hop: the benchmark's
+// C = min(nproc, 4) connections cannot show it (ROADMAP item 2).
 //
 // # At-most-once
 //

@@ -97,8 +97,8 @@ func (b *backend) traced(id uint64) bool {
 	return false
 }
 
-// txnRequest builds the request cluster.forward would: POST /txn with the
-// trace header in canonical form.
+// txnRequest builds a routed POST /txn with the trace header in
+// canonical form.
 func txnRequest(ctx context.Context, base, query string, body []byte, traceID uint64) *http.Request {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/txn?"+query, nil)
 	if err != nil {

@@ -37,7 +37,7 @@ import (
 
 // benchRecorder is the minimal reusable http.ResponseWriter: it keeps
 // one header map for the handler to write into (entries are overwritten
-// in place by the fast path's setHeaderValue) and discards bodies.
+// in place by link.Answer.WriteHTTP) and discards bodies.
 type benchRecorder struct {
 	header http.Header
 	code   int

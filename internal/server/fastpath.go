@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"net/http"
 	"strconv"
 	"sync"
 	"unsafe"
@@ -217,19 +216,6 @@ func (s *Server) buildSpecFast(sc *txnScratch, k int, query bool, writeFrac floa
 		spec.Write[sc.rng.Intn(k)] = true
 	}
 	return spec
-}
-
-// setHeaderValue is http.Header.Set without the per-call []string
-// allocation when the key is already present (Set always allocates a
-// fresh one-element slice). Keys must be in canonical form already.
-//
-//loadctl:hotpath
-func setHeaderValue(h http.Header, key, value string) {
-	if vs := h[key]; len(vs) == 1 {
-		vs[0] = value
-		return
-	}
-	h[key] = []string{value} //loadctl:allocok audited: first Set of this key on the response — one slice per header per response, the map entry then reused
 }
 
 // jsonPlain reports whether s can be embedded in a JSON string without

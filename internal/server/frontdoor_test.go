@@ -38,19 +38,10 @@ func serveFrontDoor(t *testing.T, s *Server) string {
 	return ln.Addr().String()
 }
 
-// heldByDoor reports whether the door still holds the server end of the
-// client connection nc: true after the door served a request on it, false
+// heldByDoor reports whether the door holds the one client connection a
+// test has open to it: true after the door served a request on it, false
 // once the connection went to net/http or ended.
-func heldByDoor(s *Server, nc net.Conn) bool {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	for d := range s.conns {
-		if d.nc.RemoteAddr().String() == nc.LocalAddr().String() {
-			return true
-		}
-	}
-	return false
-}
+func heldByDoor(s *Server) bool { return s.DoorConns() == 1 }
 
 // rawConn is a client connection to the front door that writes bytes as
 // given and reads answers with http.ReadResponse.
@@ -127,16 +118,19 @@ func txnHead(addr, query string, extra ...string) string {
 }
 
 // overDoor sends one /txn on a fresh connection to the front door and
-// reads the answer, failing the test unless the door served it.
+// reads the answer, failing the test unless the door served it: it holds
+// one more connection than before, until the client closes it.
 func overDoor(t *testing.T, s *Server, addr, query, body string) (*http.Response, error) {
 	t.Helper()
+	before := s.DoorConns()
 	c := dialDoor(t, addr)
-	defer c.nc.Close()
 	c.send(wireRequest(t, addr, query, body))
 	resp, got := c.answer()
-	if !heldByDoor(s, c.nc) {
+	if s.DoorConns() != before+1 {
 		t.Fatalf("net/http served %q, not the front door", query)
 	}
+	c.nc.Close()
+	waitUntil(t, "the door to let the connection go", func() bool { return s.DoorConns() == before })
 	resp.Body = io.NopCloser(strings.NewReader(got))
 	return resp, nil
 }
@@ -187,7 +181,7 @@ func TestFrontDoorHandoff(t *testing.T) {
 			c := dialDoor(t, addr)
 			c.send(txnHead(addr, "k=2"))
 			committed(t, c)
-			if !heldByDoor(s, c.nc) {
+			if !heldByDoor(s) {
 				t.Fatal("the first POST was not the door's")
 			}
 			c.send("GET /metrics HTTP/1.1\r\nHost: " + addr + "\r\n\r\n")
@@ -195,12 +189,12 @@ func TestFrontDoorHandoff(t *testing.T) {
 			if resp.StatusCode != http.StatusOK || !strings.Contains(body, "loadctl_commits_total 1") {
 				t.Fatalf("GET /metrics after a door POST: %d %.80q", resp.StatusCode, body)
 			}
-			if heldByDoor(s, c.nc) {
+			if heldByDoor(s) {
 				t.Fatal("the door kept a connection it handed to net/http")
 			}
 			c.send(txnHead(addr, "k=2"))
 			committed(t, c)
-			if heldByDoor(s, c.nc) {
+			if heldByDoor(s) {
 				t.Fatal("a handed-off connection came back to the door")
 			}
 		}},
@@ -214,7 +208,7 @@ func TestFrontDoorHandoff(t *testing.T) {
 			if !strings.Contains(body, `"class":"query"`) {
 				t.Fatalf("second pipelined answer %q is not the second request's", body)
 			}
-			if !heldByDoor(s, c.nc) {
+			if !heldByDoor(s) {
 				t.Fatal("the door did not serve the pipelined POSTs")
 			}
 		}},
@@ -223,8 +217,8 @@ func TestFrontDoorHandoff(t *testing.T) {
 			c.send("POST /txn?k=2 HTTP/1.0\r\nHost: " + addr + "\r\n\r\n")
 			resp, body := c.answer()
 			commit(t, resp, body)
-			if resp.ProtoMinor != 0 || heldByDoor(s, c.nc) {
-				t.Fatalf("HTTP/1.0 was answered %s by the door (%v)", resp.Proto, heldByDoor(s, c.nc))
+			if resp.ProtoMinor != 0 || heldByDoor(s) {
+				t.Fatalf("HTTP/1.0 was answered %s by the door (%v)", resp.Proto, heldByDoor(s))
 			}
 		}},
 		{"chunked body", func(t *testing.T, s *Server, addr string) {
@@ -232,8 +226,8 @@ func TestFrontDoorHandoff(t *testing.T) {
 			c.send(txnHead(addr, "", "Transfer-Encoding: chunked") + "6\r\n{\"k\":3\r\n13\r\n,\"shape\":\"query\"}\r\n0\r\n\r\n")
 			resp, body := c.answer()
 			commit(t, resp, body)
-			if !strings.Contains(body, `"class":"query"`) || heldByDoor(s, c.nc) {
-				t.Fatalf("chunked body: %q, held by the door %v", body, heldByDoor(s, c.nc))
+			if !strings.Contains(body, `"class":"query"`) || heldByDoor(s) {
+				t.Fatalf("chunked body: %q, held by the door %v", body, heldByDoor(s))
 			}
 		}},
 		{"Expect: 100-continue", func(t *testing.T, s *Server, addr string) {
@@ -245,7 +239,7 @@ func TestFrontDoorHandoff(t *testing.T) {
 			}
 			c.send(`{"k":3}`)
 			committed(t, c)
-			if heldByDoor(s, c.nc) {
+			if heldByDoor(s) {
 				t.Fatal("the door served an Expect head")
 			}
 		}},
@@ -253,7 +247,7 @@ func TestFrontDoorHandoff(t *testing.T) {
 			c := dialDoor(t, addr)
 			c.send(txnHead(addr, "k=2", "X-Pad: "+strings.Repeat("x", 5<<10)))
 			committed(t, c)
-			if heldByDoor(s, c.nc) {
+			if heldByDoor(s) {
 				t.Fatal("the door served a head larger than its reader")
 			}
 		}},
@@ -345,43 +339,6 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// FuzzFrontDoorHead holds the door's head parser to http.ReadRequest:
-// whenever the door would serve a head, ReadRequest must read it too, with
-// the same method, raw query, Content-Length, Close and trace header.
-func FuzzFrontDoorHead(f *testing.F) {
-	for _, seed := range []string{
-		"POST /txn HTTP/1.1\r\nHost: a\r\n\r\n",
-		"POST /txn?class=update&k=8 HTTP/1.1\r\nHost: 127.0.0.1:80\r\nContent-Length: 0\r\nX-Loadctl-Trace: 00000000000004d2\r\n\r\n",
-		"POST /txn? HTTP/1.1\r\nhost: a\r\ncontent-length:  12 \r\nConnection: keep-alive, close\r\n\r\n",
-		"POST /txn?a=%zz#f HTTP/1.1\r\nHost: [::1]:8344\r\nX-Loadctl-Trace: bad\r\nX-Loadctl-Trace: 00000000000004d2\r\n\r\n",
-		"POST /txn HTTP/1.1\r\nHost: a\r\nContent-Length: 1\r\nContent-Length: 1\r\n\r\n",
-		"POST /txn HTTP/1.1\r\nHost: a\r\n folded\r\n\r\n",
-		"POST /txn HTTP/1.1\nHost: a\n\n",
-		"POST /txnx HTTP/1.1\r\nHost: a\r\n\r\n",
-		"POST /txn HTTP/1.0\r\nHost: a\r\n\r\n",
-		"GET /ws HTTP/1.1\r\nHost: a\r\nConnection: Upgrade\r\nUpgrade: websocket\r\n\r\n",
-		"POST /txn HTTP/1.1\r\nHost: a\r\nTransfer-Encoding: chunked\r\n\r\n",
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		var h doorHead
-		if parseDoorHead(raw, &h) != headServe {
-			return
-		}
-		r, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(raw)))
-		if err != nil {
-			t.Fatalf("the door serves %q, which net/http refuses: %v", raw, err)
-		}
-		traceID, _ := reqtrace.FromRequest(r)
-		if r.Method != http.MethodPost || r.URL.RawQuery != h.query || r.ContentLength != h.bodyLen ||
-			r.Close != h.close || traceID != h.traceID || len(r.Header["Host"]) > 1 {
-			t.Fatalf("%q: net/http reads %s ?%q length %d close %v trace %x; the door ?%q length %d close %v trace %x",
-				raw, r.Method, r.URL.RawQuery, r.ContentLength, r.Close, traceID, h.query, h.bodyLen, h.close, h.traceID)
-		}
-	})
 }
 
 // doorRoundTrip writes req and reads one answer without allocating

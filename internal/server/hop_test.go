@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -390,9 +391,10 @@ func (c *recordingConn) Read(p []byte) (int, error) {
 
 // TestHopHeadsAreTheDoors: every head the proxy's hop writes — a query of
 // 0 bytes, 1 byte or the longest it sends raw; traced or not; a body of 0,
-// 1 or link.MaxBody bytes — is one parseDoorHead serves, and the door
-// keeps the connection instead of handing it to net/http. One byte more
-// of query and the hop sends the request through its HTTP fallback.
+// 1 or link.MaxBody bytes — is within link.HeadBudget, reads back as sent,
+// and is one the door serves: it keeps the connection instead of handing
+// it to net/http. One byte more of query and the hop sends the request
+// through its HTTP fallback.
 func TestHopHeadsAreTheDoors(t *testing.T) {
 	s, _ := newTestServer(t, 8, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -433,22 +435,21 @@ func TestHopHeadsAreTheDoors(t *testing.T) {
 				rc.mu.Lock()
 				sent := rc.read
 				rc.mu.Unlock()
-				var h doorHead
-				if v := parseDoorHead(sent, &h); v != headServe || h.n > link.HeadBudget || h.n+n != len(sent) ||
-					h.query != query || h.traceID != traceID || h.bodyLen != int64(n) {
-					t.Fatalf("query of %d, trace %x, body of %d: the door reads verdict %d, %+v from %d bytes",
-						len(query), traceID, n, v, h, len(sent))
+				head := bytes.Index(sent, []byte("\r\n\r\n")) + 4
+				r, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(sent)))
+				if err != nil {
+					t.Fatalf("query of %d, trace %x, body of %d: %v", len(query), traceID, n, err)
 				}
-				held := false
-				s.connMu.Lock()
-				for d := range s.conns {
-					held = held || d.nc == net.Conn(rc)
+				id, _ := reqtrace.FromRequest(r)
+				if head > link.HeadBudget || head+n != len(sent) || r.URL.RawQuery != query || id != traceID || r.ContentLength != int64(n) {
+					t.Fatalf("query of %d, trace %x, body of %d: a %d-byte head of %d bytes reads ?%.20q, trace %x, length %d",
+						len(query), traceID, n, head, len(sent), r.URL.RawQuery, id, r.ContentLength)
 				}
-				s.connMu.Unlock()
-				if st := tr.Stats(addr); st.Dials != 1 || st.Idle != 1 || !held {
-					t.Fatalf("query of %d, trace %x, body of %d: %+v, held by the door %v", len(query), traceID, n, st, held)
+				if st := tr.Stats(addr); st.Dials != 1 || st.Idle != 1 || !heldByDoor(s) {
+					t.Fatalf("query of %d, trace %x, body of %d: %+v, held by the door %v", len(query), traceID, n, st, heldByDoor(s))
 				}
 				tr.CloseIdleConnections()
+				waitUntil(t, "the door to let the connection go", func() bool { return s.DoorConns() == 0 })
 			}
 		}
 	}

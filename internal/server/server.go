@@ -51,7 +51,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -63,6 +62,7 @@ import (
 	"github.com/tpctl/loadctl/internal/ctl"
 	"github.com/tpctl/loadctl/internal/gate"
 	"github.com/tpctl/loadctl/internal/kv"
+	"github.com/tpctl/loadctl/internal/link"
 	"github.com/tpctl/loadctl/internal/obs"
 	"github.com/tpctl/loadctl/internal/reqtrace"
 	"github.com/tpctl/loadctl/internal/telemetry"
@@ -222,16 +222,9 @@ type Server struct {
 
 	loop *ctl.Loop // the sense→decide→actuate cycle; owns the trace
 
-	// Connections the server holds itself rather than net/http: the
-	// front door's (frontdoor.go), which net/http never saw, so
-	// http.Server's Close and Shutdown neither see nor end them.
-	// connsDraining makes every connection close after its current answer;
-	// connsDrained is closed when the last one has gone during a
-	// DrainConns.
-	connMu        sync.Mutex
-	conns         map[*doorConn]struct{}
-	connsDraining atomic.Bool
-	connsDrained  chan struct{}
+	// door serves POST /txn at the listener (frontdoor.go) and holds the
+	// connections net/http never sees.
+	door *link.Door
 }
 
 // New validates cfg, starts the measurement loop and returns the server.
@@ -322,7 +315,7 @@ func New(cfg Config) (*Server, error) {
 	s.lastTick = s.start
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/txn", s.handleTxn)
-	s.conns = make(map[*doorConn]struct{})
+	s.door = link.NewDoor("server", s.serveDoor)
 	s.mux.Handle("/metrics", telemetry.MetricsEndpoint{
 		Snapshot:  func(withHistory bool) any { return jsonSnapshot(s.SnapshotNow(withHistory)) },
 		Prom:      func() *telemetry.PromText { return renderProm(s.SnapshotNow(false)) },
@@ -356,76 +349,6 @@ func (s *Server) Incidents() *obs.Recorder { return s.obsRec }
 func (s *Server) Close() {
 	s.loop.Close()
 	s.CloseConns()
-}
-
-// holdConn registers c; one that arrives while a drain is under way is
-// interrupted at once.
-func (s *Server) holdConn(c *doorConn) {
-	s.connMu.Lock()
-	s.conns[c] = struct{}{}
-	if s.connsDraining.Load() {
-		c.Interrupt()
-	}
-	s.connMu.Unlock()
-}
-
-// dropConn unregisters c and ends a drain waiting for the last one.
-func (s *Server) dropConn(c *doorConn) {
-	s.connMu.Lock()
-	delete(s.conns, c)
-	if len(s.conns) == 0 && s.connsDrained != nil {
-		close(s.connsDrained)
-		s.connsDrained = nil
-	}
-	s.connMu.Unlock()
-}
-
-// DoorConns returns the number of open front-door keep-alive connections.
-func (s *Server) DoorConns() int {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return len(s.conns)
-}
-
-// CloseConns severs every open front-door connection, as a crash would:
-// a transaction in flight still runs but loses its answer. New
-// connections are still accepted afterwards.
-func (s *Server) CloseConns() {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	for c := range s.conns {
-		_ = c.Close()
-	}
-}
-
-// DrainConns is the half of a graceful shutdown http.Server.Shutdown
-// cannot do, to run after it: it ends the front-door connections net/http
-// does not track. Idle ones close at once, one with a transaction in
-// flight closes after its answer is written, and one accepted meanwhile
-// closes before its first request. It returns nil once all are gone;
-// when ctx ends first it severs the rest and returns ctx's error.
-func (s *Server) DrainConns(ctx context.Context) error {
-	s.connsDraining.Store(true)
-	s.connMu.Lock()
-	if len(s.conns) == 0 {
-		s.connMu.Unlock()
-		return nil
-	}
-	if s.connsDrained == nil {
-		s.connsDrained = make(chan struct{}) // shared by concurrent drains
-	}
-	drained := s.connsDrained
-	for c := range s.conns {
-		c.Interrupt()
-	}
-	s.connMu.Unlock()
-	select {
-	case <-drained:
-		return nil
-	case <-ctx.Done():
-		s.CloseConns()
-		return ctx.Err()
-	}
 }
 
 // Limit returns the currently installed total concurrency bound: the

@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 	"unicode/utf8"
 
+	"github.com/tpctl/loadctl/internal/link"
 	"github.com/tpctl/loadctl/internal/loadsig"
 	"github.com/tpctl/loadctl/internal/reqtrace"
 	"github.com/tpctl/loadctl/internal/sim"
@@ -105,46 +105,21 @@ func clip(s string) string {
 	return s[:n]
 }
 
-// txnResult is what one transaction answers, independent of the wire it
-// arrived on: the net/http adapter turns it into a status line and
-// headers, the front door into the same answer rendered by hand, and
-// neither looks inside.
-type txnResult struct {
-	// status is the HTTP status code; 0 means the caller went away and
-	// nothing is to be written.
-	status int
-	// signal, retryAfter and contentType are the X-Loadctl-Load,
-	// Retry-After and Content-Type values ("" = header absent).
-	signal      string
-	retryAfter  string
-	contentType string
-	// echo is the trace ID to echo to the caller: set for head-sampled
-	// requests only, so the caller learns which of its requests can be
-	// looked up here and the unsampled path stays allocation-free.
-	echo uint64
-	// body aliases the scratch's render buffer.
-	body []byte
-}
-
 // allowPost is the Allow header of /txn's 405 (RFC 9110 §15.5.6). The
 // slice is shared by every such answer: net/http only reads it.
 var allowPost = []string{http.MethodPost}
 
-const (
-	contentJSON = "application/json"
-	// contentText is what http.Error sets; the 400s keep it on both wires.
-	contentText = "text/plain; charset=utf-8"
-)
+const contentJSON = "application/json"
 
 // fail renders a plain-text error answer — msg+detail and a newline, the
 // body http.Error writes.
 //
 //loadctl:hotpath
-func (sc *txnScratch) fail(code int, msg, detail string) txnResult {
+func (sc *txnScratch) fail(code int, msg, detail string) link.Answer {
 	b := append(sc.buf[:0], msg...)
 	b = append(b, detail...)
 	sc.buf = append(b, '\n')
-	return txnResult{status: code, contentType: contentText, body: sc.buf}
+	return link.Answer{Status: code, ContentType: link.ContentText, Body: sc.buf}
 }
 
 // runTxn is the /txn data path, whichever wire the request came in on:
@@ -157,9 +132,8 @@ func (sc *txnScratch) fail(code int, msg, detail string) txnResult {
 // the admission happy path skips the cancellable context entirely via
 // AcquireFast.
 //
-// rawQuery may alias a buffer the caller reuses once runTxn returns, or
-// the one body is read through; it is copied first and nothing retains
-// it. body is nil when the request has none. traceID 0
+// rawQuery may alias a buffer the caller reuses once runTxn returns; it is
+// copied first and nothing retains it. body is nil when the request has none. traceID 0
 // means the caller propagated none. ctx ends when the caller is known to
 // be gone. door is the front-door connection the request came in on, nil
 // for net/http, whose request context carries a hang-up itself; the
@@ -168,11 +142,9 @@ func (sc *txnScratch) fail(code int, msg, detail string) txnResult {
 // for long.
 //
 //loadctl:hotpath
-func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, body io.Reader, traceID uint64, door *doorConn) txnResult {
+func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, body io.Reader, traceID uint64, door *link.Conn) link.Answer {
 	req := &sc.req
-	// The query is copied before the body is read: rawQuery may alias the
-	// buffer the body arrives through (the front door's), and the copy is
-	// what parseTxnQuery decodes in place.
+	// The copy is what parseTxnQuery decodes in place.
 	sc.query = append(sc.query[:0], rawQuery...)
 	if body != nil {
 		if err := json.NewDecoder(body).Decode(req); err != nil { //loadctl:allocok audited: request-body decode, only when a body is present
@@ -208,9 +180,9 @@ func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, bo
 		traceID = reqtrace.NewID()
 	}
 	tr := s.rec.Begin(traceID)
-	res := txnResult{contentType: contentJSON}
+	res := link.Answer{ContentType: contentJSON}
 	if tr.Sampled() {
-		res.echo = traceID
+		res.Trace = traceID
 	}
 	sc.rng = sim.NewFast(s.cfg.Seed, seq)
 	var query bool
@@ -256,8 +228,8 @@ func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, bo
 			cell.Inc(cRejected)
 			tr.SetAdmit(s.loadSignal().sig.Limit, s.shedMask.Load())
 			tr.Span(reqtrace.SpanQueue, tr.Now(), reqtrace.DetailRejected, 0)
-			res.status, res.signal, res.retryAfter = http.StatusTooManyRequests, s.loadSignal().header, loadsig.RetryAfter()
-			res.body = renderTxn(sc, "rejected", class, className, 0, msSince(t0))
+			res.Status, res.Signal, res.RetryAfter = http.StatusTooManyRequests, s.loadSignal().header, loadsig.RetryAfter()
+			res.Body = renderTxn(sc, "rejected", class, className, 0, msSince(t0))
 			tr.Finish(reqtrace.StatusRejected, false)
 			return res
 		}
@@ -274,7 +246,7 @@ func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, bo
 			// counted exactly once, by Acquire.
 			qctx, cancel := context.WithTimeout(ctx, s.cfg.QueueTimeout) //loadctl:allocok audited: contended admission only — the uncontended path fast-admits without a context
 			if door != nil {
-				door.watchClose(cancel) //loadctl:allocok audited: contended admission only, beside the context above
+				door.WatchClose(cancel) //loadctl:allocok audited: contended admission only, beside the context above
 			}
 			err := s.multi.Acquire(qctx, ci)
 			cancel()
@@ -285,14 +257,14 @@ func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, bo
 				tr.SetAdmit(s.loadSignal().sig.Limit, s.shedMask.Load())
 				tr.Span(reqtrace.SpanQueue, qStart, reqtrace.DetailDisconnect, 0)
 				tr.Finish(reqtrace.StatusDisconnect, false)
-				return txnResult{}
+				return link.Answer{}
 			}
 			if err != nil {
 				cell.Inc(cTimeouts)
 				tr.SetAdmit(s.loadSignal().sig.Limit, s.shedMask.Load())
 				tr.Span(reqtrace.SpanQueue, qStart, reqtrace.DetailTimeout, 0)
-				res.status, res.signal, res.retryAfter = http.StatusServiceUnavailable, s.loadSignal().header, loadsig.RetryAfter()
-				res.body = renderTxn(sc, "timeout", class, className, 0, msSince(t0))
+				res.Status, res.Signal, res.RetryAfter = http.StatusServiceUnavailable, s.loadSignal().header, loadsig.RetryAfter()
+				res.Body = renderTxn(sc, "timeout", class, className, 0, msSince(t0))
 				tr.Finish(reqtrace.StatusTimeout, false)
 				return res
 			}
@@ -325,7 +297,7 @@ func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, bo
 
 	s.multi.Release(ci)
 	s.noteExit(cell)
-	res.signal = s.loadSignal().header
+	res.Signal = s.loadSignal().header
 
 	lat := time.Since(t0)
 	switch {
@@ -334,14 +306,14 @@ func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, bo
 		cell.Inc(cRespN)
 		cell.Inc(cCommits)
 		s.hists[ci].Observe(lat.Seconds())
-		res.status = http.StatusOK
-		res.body = renderTxn(sc, "committed", class, className, attempts, msSince(t0))
+		res.Status = http.StatusOK
+		res.Body = renderTxn(sc, "committed", class, className, attempts, msSince(t0))
 		// FinishWall with the histogram's own sample: trace wall time and
 		// the telemetry bucket the request landed in agree exactly.
 		tr.FinishWall(reqtrace.StatusCommitted, true, lat)
 	case errors.Is(execErr, ErrAborted):
-		res.status = http.StatusConflict
-		res.body = renderTxn(sc, "aborted", class, className, attempts, msSince(t0))
+		res.Status = http.StatusConflict
+		res.Body = renderTxn(sc, "aborted", class, className, attempts, msSince(t0))
 		tr.FinishWall(reqtrace.StatusAborted, false, lat)
 	case errors.Is(execErr, context.Canceled), errors.Is(execErr, context.DeadlineExceeded):
 		// The client went away (or its deadline passed) mid-transaction:
@@ -349,11 +321,11 @@ func (s *Server) runTxn(ctx context.Context, sc *txnScratch, rawQuery string, bo
 		// nobody is left to read a response.
 		cell.Inc(cDisconnects)
 		tr.FinishWall(reqtrace.StatusDisconnect, false, lat)
-		return txnResult{}
+		return link.Answer{}
 	default:
 		// A genuine engine failure.
-		res.status = http.StatusInternalServerError
-		res.body = renderTxn(sc, "error", class, className, attempts, msSince(t0))
+		res.Status = http.StatusInternalServerError
+		res.Body = renderTxn(sc, "error", class, className, attempts, msSince(t0))
 		tr.FinishWall(reqtrace.StatusError, false, lat)
 	}
 	return res
@@ -376,36 +348,10 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 		body = r.Body
 	}
 	traceID, _ := reqtrace.FromRequest(r)
-	res := s.runTxn(r.Context(), sc, r.URL.RawQuery, body, traceID, nil)
-	if res.status == 0 {
-		return
+	if res := s.runTxn(r.Context(), sc, r.URL.RawQuery, body, traceID, nil); res.Status != 0 {
+		res.WriteHTTP(w)
 	}
-	h := w.Header()
-	if res.echo != 0 {
-		h.Set(reqtrace.Header, reqtrace.FormatID(res.echo)) //loadctl:allocok audited: header echo for head-sampled traces only
-	}
-	if res.signal != "" {
-		setHeaderValue(h, loadsig.Header, res.signal)
-	}
-	if res.retryAfter != "" {
-		setHeaderValue(h, "Retry-After", res.retryAfter)
-	}
-	setHeaderValue(h, "Content-Type", res.contentType)
-	if res.contentType == contentText {
-		setHeaderValue(h, "X-Content-Type-Options", "nosniff") // as http.Error does
-	}
-	if len(res.body) > chunkAfter {
-		h["Content-Length"] = []string{strconv.Itoa(len(res.body))} //loadctl:allocok audited: answers over 1 KiB only — rejections quoting their request, or a long class list
-	}
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
 }
-
-// chunkAfter is the answer length past which handleTxn sets
-// Content-Length itself. net/http adds one only to a body it holds whole
-// when the handler returns (2 KiB) and chunks a longer one, but the
-// proxy's hop reads only answers delimited by Content-Length.
-const chunkAfter = 1 << 10
 
 func msSince(t0 time.Time) float64 { return float64(time.Since(t0)) / float64(time.Millisecond) }
 
