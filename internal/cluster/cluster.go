@@ -552,8 +552,10 @@ func (p *Proxy) relay(ctx context.Context, sc *relayScratch, rawQuery string, bo
 		}
 		if tooLarge {
 			// Count it as served: it left through an HTTP answer the
-			// client saw, not through a routing door. The door does not
-			// read the rest of such a body, so it ends the connection.
+			// client saw, not through a routing door. The connection
+			// ends after the answer, as net/http ends one that leaves a
+			// large body unread; the door still reads the rest of the
+			// body first (Conn.Answer), so the client sees the 413.
 			cell.Inc(cRelayed)
 			tr.Finish(reqtrace.StatusRelayed, true)
 			a := textAnswer(http.StatusRequestEntityTooLarge, msgTooLarge, echo)
@@ -632,8 +634,11 @@ func (p *Proxy) relay(ctx context.Context, sc *relayScratch, rawQuery string, bo
 			return link.Answer{}
 		}
 		// Transport failure: the backend is unreachable. Mark it dead now
-		// — the health loop revives it.
-		p.backends[i].markDead(p.nowNanos())
+		// — the health loop revives it. An answer too long to relay came
+		// from a live backend.
+		if err != errLongAnswer {
+			p.backends[i].markDead(p.nowNanos())
+		}
 		if !retriableForward(err) {
 			// The request may have reached the backend before the
 			// connection broke (e.g. a reset mid-response): a transaction
@@ -704,7 +709,7 @@ func (p *Proxy) forward(ctx context.Context, sc *relayScratch, i int, query stri
 			sc.answer = sc.reply.Body
 		}
 	} else {
-		err = p.roundTrip(ctx, sc, b, query, body, traceID) //loadctl:allocok audited: the HTTP path — another transport, a backend URL or a request the hop does not take
+		err = p.roundTrip(ctx, sc, b, query, body, traceID, door) //loadctl:allocok audited: the HTTP path — another transport, a backend URL or a request the hop does not take
 	}
 	b.inflight.Add(-1)
 	if err != nil {
@@ -718,6 +723,7 @@ func (p *Proxy) forward(ctx context.Context, sc *relayScratch, i int, query stri
 }
 
 // errLongAnswer fails an HTTP-path answer the hop would not carry either.
+// The backend answered, so it is not marked dead for it.
 var errLongAnswer = errors.New("cluster: backend answer over link.MaxAnswer")
 
 // roundTrip is forward's HTTP path, through Config.Transport's RoundTrip:
@@ -729,7 +735,29 @@ var errLongAnswer = errors.New("cluster: backend answer over link.MaxAnswer")
 // and the proxy does its own at-most-once failover (backends never
 // redirect /txn). Its pieces are allocated per request: see fastrelay.go.
 // The answer is read whole into sc, as forward's.
-func (p *Proxy) roundTrip(ctx context.Context, sc *relayScratch, b *backend, query string, body []byte, traceID uint64) error {
+//
+// A request from the front door (door not nil) runs under a context the
+// door's close-watcher cancels, armed once per relay: a client that hangs
+// up cancels the round trip, which fails with link.ErrHungUp, as the
+// hop's exchange does.
+func (p *Proxy) roundTrip(ctx context.Context, sc *relayScratch, b *backend, query string, body []byte, traceID uint64, door *link.Conn) error {
+	if door != nil {
+		if sc.hangCtx == nil {
+			sc.hangCtx, sc.hangup = context.WithCancel(ctx)
+			door.WatchClose(sc.hangup)
+		}
+		ctx = sc.hangCtx
+	}
+	err := p.exchangeHTTP(ctx, sc, b, query, body, traceID)
+	if err != nil && door != nil && ctx.Err() != nil {
+		return link.ErrHungUp
+	}
+	return err
+}
+
+// exchangeHTTP is roundTrip's exchange: the request out, the answer read
+// whole into sc.
+func (p *Proxy) exchangeHTTP(ctx context.Context, sc *relayScratch, b *backend, query string, body []byte, traceID uint64) error {
 	u := b.txnURL // copy; the pre-parsed original stays pristine
 	u.RawQuery = query
 	// Propagate the trace ID: the backend records its spans under the

@@ -12,11 +12,15 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/tpctl/loadctl/internal/core"
+	"github.com/tpctl/loadctl/internal/link"
 	"github.com/tpctl/loadctl/internal/loadsig"
 	"github.com/tpctl/loadctl/internal/reqtrace"
+	"github.com/tpctl/loadctl/internal/server"
 )
 
 // These tests pin the proxy's front door against its net/http adapter:
@@ -353,6 +357,110 @@ func TestProxyDoorHandoff(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p, ts := passiveProxy(t, Config{Backends: []string{answerStub(t, okSignal()).URL}})
 			tc.run(t, p, dialRaw(t, ts))
+		})
+	}
+
+	// A body cut short by a hang-up is not a whole one: nothing is
+	// forwarded, and the proxy counts a disconnect, as net/http's adapter
+	// does.
+	t.Run("short body, then a hang-up", func(t *testing.T) {
+		stub := newStub(t, okSignal())
+		p, ts := passiveProxy(t, Config{Backends: []string{stub.ts.URL}})
+		c := dialRaw(t, ts)
+		c.send(txnHead("", "Content-Length: 100") + `{"k":3}`)
+		c.nc.Close()
+		waitFor(t, "the proxy to count the disconnect", func() bool { return p.SnapshotNow().Totals.Disconnects == 1 })
+		if tot := p.SnapshotNow().Totals; stub.txns.Load() != 0 || tot.Requests != 1 || tot.Relayed != 0 {
+			t.Fatalf("%d backend requests, proxy totals %+v; want nothing forwarded", stub.txns.Load(), tot)
+		}
+		assertDoors(t, p)
+	})
+}
+
+// TestProxyDoorHTTPPath: a door relay over a transport other than
+// link.Transport (roundTrip) passes a client's hang-up on to the backend,
+// as the hop does, and blames the backend for a broken answer but not for
+// a whole one too long to relay.
+func TestProxyDoorHTTPPath(t *testing.T) {
+	httpProxy := func(t *testing.T, backend string) (*Proxy, *httptest.Server) {
+		tr := &http.Transport{}
+		t.Cleanup(tr.CloseIdleConnections)
+		return passiveProxy(t, Config{Backends: []string{backend}, Transport: tr})
+	}
+
+	t.Run("hang-up while queued", func(t *testing.T) {
+		release := make(chan struct{})
+		b := startLinkBackend(t, func(c *server.Config) {
+			c.Controller = core.NewStatic(1)
+			c.QueueTimeout = time.Minute
+		})
+		b.eng.hook(func(ctx context.Context) error {
+			select {
+			case <-release:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		})
+		unblock := sync.OnceFunc(func() { close(release) })
+		t.Cleanup(unblock) // a failure must not leave the backend's server blocked at its Close
+		p, ts := httpProxy(t, b.ts.URL)
+		holder := dialRaw(t, ts)
+		holder.send(txnHead("k=2"))
+		waitFor(t, "the holder to be admitted", func() bool { return b.eng.execs.Load() == 1 })
+		c := dialRaw(t, ts)
+		c.send(txnHead("k=2"))
+		waitFor(t, "the second request to queue", func() bool { return b.srv.SnapshotNow(false).Queued == 1 })
+		c.nc.Close()
+		waitFor(t, "the queue slot to be freed and the disconnect counted", func() bool {
+			snap := b.srv.SnapshotNow(false)
+			return snap.Queued == 0 && snap.Totals.Disconnects == 1
+		})
+		waitFor(t, "the proxy to count the disconnect", func() bool { return p.SnapshotNow().Totals.Disconnects == 1 })
+		unblock()
+		if resp, body := holder.answer(); resp.StatusCode != http.StatusOK {
+			t.Fatalf("holder answered %d %q", resp.StatusCode, body)
+		}
+		if snap := p.SnapshotNow(); snap.Backends[0].State != StateUp || snap.Totals.Failed != 0 || snap.LinkDials != 0 {
+			t.Fatalf("backend %s, %d failed, %d hop dials; want up, 0, 0", snap.Backends[0].State, snap.Totals.Failed, snap.LinkDials)
+		}
+		assertDoors(t, p)
+	})
+
+	for _, tc := range []struct {
+		name  string
+		write func(w http.ResponseWriter)
+		state string
+	}{
+		{"answer over link.MaxAnswer", func(w http.ResponseWriter) {
+			_, _ = io.WriteString(w, strings.Repeat("x", link.MaxAnswer+1))
+		}, StateUp},
+		{"answer cut short", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", "100")
+			_, _ = io.WriteString(w, `{"status":`)
+			panic(http.ErrAbortHandler) // net/http closes the connection
+		}, StateDead},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/txn" {
+					tc.write(w)
+					return
+				}
+				w.Header().Set("Content-Type", "application/json")
+				_ = json.NewEncoder(w).Encode(okSignal())
+			}))
+			t.Cleanup(bts.Close)
+			p, ts := httpProxy(t, bts.URL)
+			c := dialRaw(t, ts)
+			c.send(txnHead("k=2"))
+			if resp, body := c.answer(); resp.StatusCode != http.StatusBadGateway {
+				t.Fatalf("answer %d %.80q, want 502", resp.StatusCode, body)
+			}
+			if snap := p.SnapshotNow(); snap.Backends[0].State != tc.state || snap.Totals.Failed != 1 {
+				t.Fatalf("backend %s, %d failed; want %s, 1", snap.Backends[0].State, snap.Totals.Failed, tc.state)
+			}
+			assertDoors(t, p)
 		})
 	}
 }

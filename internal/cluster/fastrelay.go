@@ -17,6 +17,7 @@
 package cluster
 
 import (
+	"context"
 	"io"
 	"strings"
 	"sync"
@@ -32,6 +33,11 @@ type relayScratch struct {
 	msg      []byte     // a shed answer's text
 	reply    link.Reply // the backend's answer, read whole by forward
 	answer   []byte     // its body
+
+	// hangCtx is the context of a door relay's HTTP path (roundTrip),
+	// which the door's close-watcher ends by hangup; nil until one runs.
+	hangCtx context.Context
+	hangup  context.CancelFunc
 }
 
 // keepBuf is the largest body buffer a scratch keeps: a larger one is
@@ -60,6 +66,10 @@ func putRelayScratch(sc *relayScratch) {
 		sc.answer = nil
 	}
 	sc.reply = link.Reply{}
+	if sc.hangup != nil {
+		sc.hangup()
+		sc.hangCtx, sc.hangup = nil, nil
+	}
 	relayScratchPool.Put(sc)
 }
 

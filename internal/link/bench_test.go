@@ -22,32 +22,30 @@ import (
 // transaction path's bookkeeping. The request carries a cancellable
 // context, as every request the proxy relays for net/http does, so the
 // link row includes what honouring a cancel costs: the allocations of
-// context.AfterFunc (see conn.send), which are all the round trip
+// context.AfterFunc (see conn.send), which are all Transport.Do
 // allocates. CI gates that count exactly.
 func BenchmarkLinkHop(b *testing.B) {
-	run := func(b *testing.B, rt http.RoundTripper, url string) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		req := txnRequest(ctx, url, "shape=update&k=4", nil, 0x1235)
-		roundTrip := func() {
-			resp, err := rt.RoundTrip(req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
+	run := func(b *testing.B, roundTrip func()) {
 		roundTrip() // dial outside the measurement
 		b.ReportAllocs()
 		for b.Loop() {
 			roundTrip()
 		}
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	b.Run("link", func(b *testing.B) {
 		backend := newBackend(b, nil)
 		tr := link.NewTransport()
 		defer tr.CloseIdleConnections()
-		run(b, tr, backend.url)
+		var buf []byte
+		run(b, func() {
+			rep, err := tr.Do(ctx, backend.addr, "shape=update&k=4", nil, 0x1235, nil, buf[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = rep.Body
+		})
 	})
 	b.Run("http", func(b *testing.B) {
 		body := []byte(`{"status":"committed","class":"update","admission_class":"default","attempts":1,"latency_ms":0.0123}` + "\n")
@@ -60,6 +58,14 @@ func BenchmarkLinkHop(b *testing.B) {
 		defer ts.Close()
 		tr := &http.Transport{MaxIdleConnsPerHost: 256}
 		defer tr.CloseIdleConnections()
-		run(b, tr, ts.URL)
+		req := txnRequest(ctx, ts.URL, "shape=update&k=4", nil, 0x1235)
+		run(b, func() {
+			resp, err := tr.RoundTrip(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		})
 	})
 }

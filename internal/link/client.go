@@ -3,12 +3,10 @@ package link
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,17 +22,12 @@ import (
 // not capped. The figure is the HTTP transport's MaxIdleConnsPerHost.
 const maxIdle = 256
 
-// Transport is the proxy's outbound hop. Do sends a routed POST /txn raw
-// on a pooled connection. As an http.RoundTripper, a POST /txn over plain
-// http that Fits goes out the same way, and everything else — health
-// probes, oversized or chunked bodies, overlong queries — goes through an
-// embedded http.Transport unchanged.
-//
-// The *http.Response of a raw round trip, its header map and its body
-// belong to the connection and are reused: they are valid until
-// Body.Close, which returns the connection to the pool. That leaves the
-// round trip with no allocation of its own: what a cancellable request
-// still pays is context.AfterFunc's two objects (see conn.send).
+// Transport is the proxy's outbound hop. Do sends a routed POST /txn that
+// Fits raw on a pooled connection, with no allocation of its own: what a
+// cancellable request still pays is context.AfterFunc's two objects (see
+// conn.send). As an http.RoundTripper it is an embedded http.Transport:
+// health probes and every request the hop does not take go through it
+// unchanged.
 type Transport struct {
 	fallback *http.Transport
 	dialer   net.Dialer
@@ -121,10 +114,10 @@ const headFixed = len("POST /txn? HTTP/1.1\r\nHost: \r\nContent-Length: 1048576\
 	reqtrace.Header + ": 0123456789abcdef\r\n\r\n")
 
 // Fits reports whether a POST /txn to host (a URL's Host) with this raw
-// query and a body of bodyLen bytes goes out raw: the body is within
+// query and a body of bodyLen bytes can go out raw: the body is within
 // MaxBody, the head fits HeadBudget, and the query is one the door takes
-// as it is (visible ASCII). Do takes only such a request; RoundTrip sends
-// any other through its HTTP fallback.
+// as it is (visible ASCII). Do takes only such a request; the caller
+// sends any other through RoundTrip.
 //
 //loadctl:hotpath
 func Fits(host, query string, bodyLen int64) bool {
@@ -139,36 +132,9 @@ func Fits(host, query string, bodyLen int64) bool {
 	return true
 }
 
-// linkable reports whether req goes out raw: a routed transaction over
-// plain http that Fits.
-//
-//loadctl:hotpath
-func linkable(req *http.Request) bool {
-	u := req.URL
-	return req.Method == http.MethodPost && u.Scheme == "http" && u.Path == "/txn" &&
-		Fits(u.Host, u.RawQuery, req.ContentLength)
-}
-
-// RoundTrip implements http.RoundTripper.
-//
-//loadctl:hotpath
+// RoundTrip implements http.RoundTripper over the embedded http.Transport.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if !linkable(req) {
-		return t.fallback.RoundTrip(req)
-	}
-	c, err := t.conn(req.Context(), t.host(req.URL.Host))
-	if err != nil {
-		closeBody(req)
-		return nil, err
-	}
-	if err := c.fill(req); err != nil {
-		c.nc.Close()
-		return nil, err
-	}
-	if err := c.send(req.Context(), nil); err != nil {
-		return nil, err
-	}
-	return c.response(req), nil
+	return t.fallback.RoundTrip(req)
 }
 
 // Reply is a backend's answer to Do.
@@ -194,9 +160,9 @@ var ErrHungUp = errors.New("link: the client hung up")
 // *http.Request or *http.Response: the head (request line, Host,
 // Content-Length, X-Loadctl-Trace when traceID is not 0) and the body go
 // out in one Write. The answer's body is appended to dst, and the
-// connection is back in its pool when Do returns. ctx is honoured as in
-// RoundTrip, and errors are RoundTrip's: a refused dial is the dial error
-// it is, anything after the write a plain error.
+// connection is back in its pool when Do returns. A cancel of ctx closes
+// the connection and fails Do with ctx's error. A refused dial is the
+// dial error it is; anything after the write is a plain error.
 //
 // door is the front-door connection the request came in on, or nil. An
 // answer slower than hangupGrace arms door's close-watcher; a client that
@@ -225,13 +191,6 @@ func (t *Transport) Do(ctx context.Context, host, query string, body []byte, tra
 	}
 	c.release()
 	return r, nil
-}
-
-//loadctl:hotpath
-func closeBody(req *http.Request) {
-	if req.Body != nil {
-		req.Body.Close()
-	}
 }
 
 // conn returns a connection ready for one request: the most recently
@@ -269,14 +228,12 @@ func (t *Transport) dial(ctx context.Context, h *host) (*conn, error) {
 		return nil, err
 	}
 	h.dials.Add(1)
-	c := &conn{h: h, nc: nc, hdr: make(http.Header, 4)}
+	c := &conn{h: h, nc: nc}
 	c.abort = func() { c.nc.Close() }
 	c.hangup = func() {
 		c.hungUp.Store(true)
 		c.nc.Close()
 	}
-	c.body.c = c
-	c.res = http.Response{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: c.hdr, Body: &c.body}
 	if sc, ok := nc.(syscall.Conn); ok {
 		if raw, err := sc.SyscallConn(); err == nil {
 			c.initProbe(raw)
@@ -316,48 +273,6 @@ type conn struct {
 	// identical bytes, cost no allocation here, and hand cluster.ingest the
 	// byte-identical string its sigRaw fast path compares against.
 	vals [numKept]string
-
-	res  http.Response
-	hdr  http.Header
-	one  [numKept][1]string // backing for the header map's one-element values
-	body body
-}
-
-// body is a raw round trip's response Body.
-type body struct {
-	c    *conn
-	b    []byte
-	open bool
-}
-
-func (b *body) Read(p []byte) (int, error) {
-	if len(b.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, b.b)
-	b.b = b.b[n:]
-	return n, nil
-}
-
-// WriteTo lets io.Copy relay the body in one Write.
-//
-//loadctl:hotpath
-func (b *body) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(b.b)
-	b.b = b.b[n:]
-	return int64(n), err
-}
-
-// Close returns the connection to its backend's idle pool, unless the
-// answer said Connection: close.
-//
-//loadctl:hotpath
-func (b *body) Close() error {
-	if b.open {
-		b.open = false
-		b.c.release()
-	}
-	return nil
 }
 
 // release returns c to its backend's idle pool once its answer is
@@ -426,33 +341,6 @@ func appendHead(b []byte, host, query string, bodyLen int, traceID uint64) []byt
 		b = reqtrace.AppendID(b, traceID)
 	}
 	return append(b, "\r\n\r\n"...)
-}
-
-// fill puts req's head and body into wbuf.
-//
-//loadctl:hotpath
-func (c *conn) fill(req *http.Request) error {
-	traceID, _ := reqtrace.FromRequest(req)
-	n := int(req.ContentLength)
-	if req.Body == nil {
-		n = 0
-	}
-	c.wbuf = appendHead(c.wbuf[:0], req.URL.Host, req.URL.RawQuery, n, traceID)
-	if n > 0 {
-		head := len(c.wbuf)
-		if cap(c.wbuf) < head+n {
-			c.wbuf = slices.Grow(c.wbuf, n) //loadctl:allocok audited: a body beyond the connection's buffer; dropped again by trim when over 64 KiB
-		}
-		c.wbuf = c.wbuf[:head+n]
-		_, err := io.ReadFull(req.Body, c.wbuf[head:])
-		closeBody(req)
-		if err != nil {
-			return fmt.Errorf("link: read request body: %w", err) //loadctl:allocok audited: failure path
-		}
-	} else {
-		closeBody(req)
-	}
-	return nil
 }
 
 // exchange is the wire half of send: one write, then the answer. With a
@@ -565,12 +453,11 @@ const (
 	keptType = iota
 	keptRetry
 	keptSignal
-	keptTrace
 	numKept
 )
 
 // keptNames are the canonical names of the kept headers.
-var keptNames = [numKept]string{"Content-Type", "Retry-After", loadsig.Header, reqtrace.Header}
+var keptNames = [numKept]string{"Content-Type", "Retry-After", loadsig.Header}
 
 // answer is one parsed answer. The strings and body alias the read buffer
 // until the next round trip on the connection.
@@ -603,13 +490,11 @@ func field(name string) int {
 		return keptRetry
 	case loadsig.Header:
 		return keptSignal
-	case reqtrace.Header:
-		return keptTrace
 	case "Content-Length":
 		return fieldLength
 	case "Connection":
 		return fieldConnection
-	case "Date", "X-Content-Type-Options":
+	case "Date", "X-Content-Type-Options", reqtrace.Header:
 		return fieldOther
 	}
 	for f, canon := range keptNames {
@@ -724,7 +609,7 @@ func keep(prev, v string) string {
 	if prev == v {
 		return prev
 	}
-	return strings.Clone(v) //loadctl:allocok audited: the header value changed — once per backend control interval for the load signal, shed answers for Retry-After, head-sampled requests for the trace echo
+	return strings.Clone(v) //loadctl:allocok audited: the header value changed — once per backend control interval for the load signal, shed answers for Retry-After
 }
 
 // kept returns the parsed answer's kept header values as strings that
@@ -741,24 +626,4 @@ func (c *conn) kept() (vals [numKept]string) {
 		}
 	}
 	return vals
-}
-
-// response rebuilds the connection's *http.Response from the parsed
-// answer, with exactly the headers cluster's relay reads.
-//
-//loadctl:hotpath
-func (c *conn) response(req *http.Request) *http.Response {
-	clear(c.hdr)
-	for f, v := range c.kept() {
-		if v != "" {
-			c.one[f][0] = v
-			c.hdr[keptNames[f]] = c.one[f][:]
-		}
-	}
-	c.body.b, c.body.open = c.ans.body, true
-	c.res.StatusCode = c.ans.status
-	c.res.ContentLength = int64(len(c.ans.body))
-	c.res.Close = c.ans.close
-	c.res.Request = req
-	return &c.res
 }

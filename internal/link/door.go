@@ -140,12 +140,12 @@ func (l *doorListener) handoff(c net.Conn) {
 type Conn struct {
 	door  *Door
 	nc    net.Conn
-	br    *bufio.Reader    // reads through connReader
-	head  Head             // the request being served
-	query []byte           // the head's query, copied out of br
-	lim   io.LimitedReader // its body
-	out   []byte           // the answer, written in one Write
-	keep  bool             // the answer went out and the connection stays
+	br    *bufio.Reader // reads through connReader
+	head  Head          // the request being served
+	query []byte        // the head's query, copied out of br
+	body  body          // its body
+	out   []byte        // the answer, written in one Write
+	keep  bool          // the answer went out and the connection stays
 	// idle is set while the connection waits for a request's first byte,
 	// the only state in which interrupt cuts a read.
 	idle atomic.Bool
@@ -175,11 +175,14 @@ func (d *Door) serveConn(l *doorListener, nc net.Conn) {
 			log.Printf("%s: panic serving %v: %v\n%s", d.name, nc.RemoteAddr(), p, debug.Stack())
 			handoff = false
 		}
+		// A connection leaves the registry closed or handed off, so a
+		// drain that saw it go has no socket left open behind it.
+		if !handoff {
+			nc.Close()
+		}
 		d.drop(c)
 		if handoff {
 			l.handoff(&replayConn{Conn: nc, door: c})
-		} else {
-			nc.Close()
 		}
 	}()
 	handoff = c.serve()
@@ -212,7 +215,7 @@ func (c *Conn) serve() (handoff bool) {
 		}
 		// The head is buffered, so Discard cannot fail.
 		_, _ = c.br.Discard(c.head.n)
-		c.lim = io.LimitedReader{R: c.br, N: c.head.BodyLen}
+		c.body = body{r: c.br, n: c.head.BodyLen}
 		c.keep = false
 		c.door.serve(c)
 		c.endWatch()
@@ -260,7 +263,31 @@ func (c *Conn) Body() io.Reader {
 	if c.head.BodyLen == 0 {
 		return nil
 	}
-	return &c.lim
+	return &c.body
+}
+
+// body is a request body of a declared length. A connection that ends
+// before its last byte fails the read with io.ErrUnexpectedEOF, as
+// net/http's body reader does, so a cut-off body is never taken whole.
+type body struct {
+	r *bufio.Reader
+	n int64 // bytes left
+}
+
+//loadctl:hotpath
+func (b *body) Read(p []byte) (int, error) {
+	if b.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > b.n {
+		p = p[:b.n]
+	}
+	n, err := b.r.Read(p)
+	b.n -= int64(n)
+	if err == io.EOF && b.n > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
 }
 
 // Answer is one /txn answer, whichever tier gives it. The door renders it
@@ -294,18 +321,20 @@ const BackendHeader = "X-Loadctl-Backend"
 
 // Answer writes a as the answer to the request being served. It ends an
 // armed close-watcher first and discards what the handler left of the
-// body. The connection stays open unless the request or a said close, a
-// drain is under way, or the write failed.
+// body — at most MaxBody, and also when the connection closes after the
+// answer: a socket closed with unread bytes is reset, and a reset can
+// cost the client the answer. The connection stays open unless the
+// request or a said close, a drain is under way, or the write failed.
 //
 //loadctl:hotpath
 func (c *Conn) Answer(a *Answer) {
 	c.endWatch()
 	keep := !c.head.Close && !a.Close && !c.door.draining.Load()
-	if c.lim.N > 0 {
-		if _, err := c.br.Discard(int(c.lim.N)); err != nil {
+	if c.body.n > 0 {
+		if _, err := c.br.Discard(int(c.body.n)); err != nil {
 			keep = false
 		}
-		c.lim.N = 0
+		c.body.n = 0
 	}
 	c.out = c.appendAnswer(c.out[:0], a, keep)
 	_, err := c.nc.Write(c.out)

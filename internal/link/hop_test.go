@@ -3,6 +3,7 @@ package link
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -34,7 +35,7 @@ func TestHeadAndAnswerLayout(t *testing.T) {
 		t.Fatalf("door answer: done %v, %v", done, err)
 	}
 	if a.status != 429 || a.bodyLen != 3 || a.n != len(doorAnswer)-3 || a.close ||
-		a.vals != [numKept]string{"application/json", "2", "status=ok;limit=8", "0000000000000007"} {
+		a.vals != [numKept]string{"application/json", "2", "status=ok;limit=8"} {
 		t.Fatalf("door answer parsed as %+v", a)
 	}
 	for _, c := range []struct {
@@ -126,8 +127,7 @@ func TestBadAnswersFailTheExchange(t *testing.T) {
 			}()
 			tr := NewTransport()
 			defer tr.CloseIdleConnections()
-			req, _ := http.NewRequest(http.MethodPost, "http://"+ln.Addr().String()+"/txn", nil)
-			_, err = tr.RoundTrip(req)
+			_, err = tr.Do(context.Background(), ln.Addr().String(), "", nil, 0, nil, nil)
 			var op *net.OpError
 			if err == nil || errors.As(err, &op) && op.Op == "dial" {
 				t.Fatalf("bad answer: %v, want a post-write error", err)
@@ -141,7 +141,7 @@ func TestBadAnswersFailTheExchange(t *testing.T) {
 
 // FuzzHopResponse holds parseAnswer to http.ReadResponse: whenever the
 // client accepts bytes as exactly one answer, ReadResponse must read the
-// same answer from them — status, body length, close flag and the four
+// same answer from them — status, body length, close flag and the three
 // headers the proxy uses — and nothing after it.
 func FuzzHopResponse(f *testing.F) {
 	for _, seed := range []string{

@@ -9,8 +9,8 @@
 //   - Transport, the proxy⇄backend hop: Do writes each routed POST /txn as
 //     one plain HTTP/1.1 keep-alive request and reads back one answer
 //     delimited by Content-Length, with no *http.Request or
-//     *http.Response; RoundTrip does the same for an http.RoundTripper
-//     caller.
+//     *http.Response; RoundTrip is an embedded http.Transport, for health
+//     probes and every request the hop does not take.
 //
 // net/http spends goroutine hand-offs on every request on either side;
 // the ledger (bench/) put that cost at over half of a proxied round trip,
@@ -46,14 +46,14 @@ import "unsafe"
 const (
 	// HeadBudget is the hop's head budget: the size of the buffer the
 	// front door reads a request head into (a longer head goes to
-	// net/http), and the longest head Transport writes raw (a longer one
-	// goes through the HTTP fallback). An answer head longer than it fails
-	// the exchange.
+	// net/http), and the longest head Transport.Do writes (Fits; the proxy
+	// sends a longer one through RoundTrip). An answer head longer than it
+	// fails the exchange.
 	HeadBudget = 4 << 10
 
 	// MaxBody is the largest request body the hop carries: the proxy's
 	// default MaxBodyBytes, and the largest Content-Length the door serves.
-	// Transport sends a larger request over the HTTP fallback.
+	// The proxy sends a larger request through Transport.RoundTrip.
 	MaxBody = 1 << 20
 
 	// MaxAnswer is the largest answer body Transport reads: MaxBody plus

@@ -114,6 +114,17 @@ func txnRequest(ctx context.Context, base, query string, body []byte, traceID ui
 	return req
 }
 
+// exchange sends one bodiless, untraced POST /txn over tr.Do to the
+// backend at addr and returns the status and body.
+func exchange(t *testing.T, tr *link.Transport, addr string) (int, string) {
+	t.Helper()
+	rep, err := tr.Do(context.Background(), addr, "", nil, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Status, string(rep.Body)
+}
+
 // do runs one round trip and returns the status and body.
 func do(t *testing.T, tr http.RoundTripper, req *http.Request) (int, string) {
 	t.Helper()
@@ -153,24 +164,20 @@ func TestRoundTripOverLink(t *testing.T) {
 		if c.body != "" {
 			body = []byte(c.body)
 		}
-		resp, err := tr.RoundTrip(txnRequest(context.Background(), b.url, c.query, body, id))
+		rep, err := tr.Do(context.Background(), b.addr, c.query, body, id, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != 200 || !strings.Contains(string(got), `"status":"committed"`) || !strings.Contains(string(got), c.class) {
-			t.Fatalf("request %d: answer %d %q", i, resp.StatusCode, got)
+		got := string(rep.Body)
+		if rep.Status != 200 || !strings.Contains(got, `"status":"committed"`) || !strings.Contains(got, c.class) {
+			t.Fatalf("request %d: answer %d %q", i, rep.Status, got)
 		}
-		if resp.ContentLength != int64(len(got)) || resp.Header.Get("Content-Type") != "application/json" {
-			t.Fatalf("request %d: length %d, headers %v", i, resp.ContentLength, resp.Header)
+		if rep.ContentType != "application/json" || rep.RetryAfter != "" {
+			t.Fatalf("request %d: %+v, want JSON and no Retry-After", i, rep)
 		}
-		if _, err := loadsig.Parse(resp.Header.Get(loadsig.Header)); err != nil {
-			t.Fatalf("request %d: load signal %q: %v", i, resp.Header.Get(loadsig.Header), err)
+		if _, err := loadsig.Parse(rep.Signal); err != nil {
+			t.Fatalf("request %d: load signal %q: %v", i, rep.Signal, err)
 		}
-		if resp.Header.Get(reqtrace.Header) != reqtrace.FormatID(id) || resp.Header.Get("Retry-After") != "" {
-			t.Fatalf("request %d: headers %v, want the trace echoed and no Retry-After", i, resp.Header)
-		}
-		resp.Body.Close()
 		if !b.traced(id) {
 			t.Fatalf("request %d: the backend has no trace %x", i, id)
 		}
@@ -215,12 +222,13 @@ func serveCanned(ln net.Listener) {
 	}
 }
 
-// TestRoundTripAllocs pins the client half of a steady-state round trip:
-// the backend is a canned answer that allocates nothing, and
-// AllocsPerRun counts every goroutine's mallocs. Under a background
-// context the round trip allocates nothing; a cancellable one — every
-// request the proxy relays — pays context.AfterFunc's two objects for the
-// cancel to be honoured. The door's half is BenchmarkTxnFrontDoor's.
+// TestRoundTripAllocs pins the client half of a steady-state exchange
+// (Transport.Do, into a reused buffer): the backend is a canned answer
+// that allocates nothing, and AllocsPerRun counts every goroutine's
+// mallocs. Under a background context — the proxy's front door — the
+// exchange allocates nothing; a cancellable one — a request relayed for
+// net/http — pays context.AfterFunc's two objects for the cancel to be
+// honoured. The door's half is BenchmarkTxnFrontDoor's.
 func TestRoundTripAllocs(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -228,6 +236,7 @@ func TestRoundTripAllocs(t *testing.T) {
 	}
 	defer ln.Close()
 	go serveCanned(ln)
+	addr := ln.Addr().String()
 	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
 	cancellable, cancel := context.WithCancel(context.Background())
@@ -237,17 +246,16 @@ func TestRoundTripAllocs(t *testing.T) {
 		ctx  context.Context
 		want float64
 	}{{"background", context.Background(), 0}, {"cancellable", cancellable, 2}} {
-		req := txnRequest(c.ctx, "http://"+ln.Addr().String(), "shape=update&k=4", nil, 0x1235)
+		var buf []byte
 		roundTrip := func() {
-			resp, err := tr.RoundTrip(req)
+			rep, err := tr.Do(c.ctx, addr, "shape=update&k=4", nil, 0x1235, nil, buf[:0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s: status %d", c.name, resp.StatusCode)
+			if rep.Status != http.StatusOK {
+				t.Fatalf("%s: status %d", c.name, rep.Status)
 			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			buf = rep.Body
 		}
 		roundTrip() // dial
 		if n := testing.AllocsPerRun(500, roundTrip); n != c.want {
@@ -264,7 +272,7 @@ func TestRefusedDialIsADialError(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	tr := link.NewTransport()
-	_, err = tr.RoundTrip(txnRequest(context.Background(), "http://"+addr, "", nil, 1))
+	_, err = tr.Do(context.Background(), addr, "", nil, 1, nil, nil)
 	var op *net.OpError
 	if !errors.As(err, &op) || op.Op != "dial" {
 		t.Fatalf("refused dial surfaced as %T %v, want *net.OpError{Op: dial}", err, err)
@@ -276,7 +284,7 @@ func TestDeadIdleConnectionIsReplacedSilently(t *testing.T) {
 	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
 	for i := 0; i < 2; i++ {
-		if code, body := do(t, tr, txnRequest(context.Background(), b.url, "", nil, 1)); code != http.StatusOK {
+		if code, body := exchange(t, tr, b.addr); code != http.StatusOK {
 			t.Fatalf("request %d: %d %q", i, code, body)
 		}
 		b.srv.CloseConns() // the backend drops its idle connections
@@ -294,7 +302,7 @@ func TestBreakAfterWriteIsNotADialError(t *testing.T) {
 		return nil
 	})
 	tr := link.NewTransport()
-	_, err := tr.RoundTrip(txnRequest(context.Background(), b.url, "", nil, 1))
+	_, err := tr.Do(context.Background(), b.addr, "", nil, 1, nil, nil)
 	if err == nil {
 		t.Fatal("a connection cut before the answer must fail the round trip")
 	}
@@ -348,7 +356,7 @@ func TestCancelWhileWaiting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := tr.RoundTrip(txnRequest(ctx, b.url, "", nil, 1))
+		_, err := tr.Do(ctx, b.addr, "", nil, 1, nil, nil)
 		errc <- err
 	}()
 	waitFor(t, "request queued at the backend", func() bool { return b.srv.SnapshotNow(false).Queued == 1 })
@@ -378,13 +386,12 @@ func TestWatchCloseStopKeepsConnection(t *testing.T) {
 	defer tr.CloseIdleConnections()
 	first := make(chan int, 1)
 	go func() {
-		resp, err := tr.RoundTrip(txnRequest(context.Background(), b.url, "", nil, 1))
+		rep, err := tr.Do(context.Background(), b.addr, "", nil, 1, nil, nil)
 		if err != nil {
 			first <- -1
 			return
 		}
-		resp.Body.Close()
-		first <- resp.StatusCode
+		first <- rep.Status
 	}()
 	waitFor(t, "request parked behind its watcher", func() bool { return b.srv.SnapshotNow(false).Queued == 1 })
 	close(release)
@@ -392,7 +399,7 @@ func TestWatchCloseStopKeepsConnection(t *testing.T) {
 		t.Fatalf("request released from its wait answered %d", code)
 	}
 	<-holder
-	if code, body := do(t, tr, txnRequest(context.Background(), b.url, "", nil, 1)); code != http.StatusOK {
+	if code, body := exchange(t, tr, b.addr); code != http.StatusOK {
 		t.Fatalf("next request on the connection: %d %q", code, body)
 	}
 	if st := tr.Stats(b.addr); st.Dials != 1 || b.totals().Disconnects != 0 {
@@ -406,7 +413,7 @@ func TestInterruptEndsIdleConnection(t *testing.T) {
 	b := newBackend(t, nil)
 	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
-	if code, _ := do(t, tr, txnRequest(context.Background(), b.url, "", nil, 1)); code != http.StatusOK {
+	if code, _ := exchange(t, tr, b.addr); code != http.StatusOK {
 		t.Fatalf("answer %d", code)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
@@ -416,7 +423,7 @@ func TestInterruptEndsIdleConnection(t *testing.T) {
 	}
 	// The drain also ends connections accepted after it, before their first
 	// request: the new dial's request fails, and it was written.
-	_, err := tr.RoundTrip(txnRequest(context.Background(), b.url, "", nil, 1))
+	_, err := tr.Do(context.Background(), b.addr, "", nil, 1, nil, nil)
 	var op *net.OpError
 	if err == nil || errors.As(err, &op) && op.Op == "dial" {
 		t.Fatalf("request to a drained backend: %v", err)
@@ -426,9 +433,10 @@ func TestInterruptEndsIdleConnection(t *testing.T) {
 	}
 }
 
-// TestUnlinkableRequestsUseHTTP: what the door would not take raw — a body
-// over MaxBody or of unknown length, a head over HeadBudget, a probe —
-// goes through the HTTP fallback and dials no hop connection.
+// TestUnlinkableRequestsUseHTTP: RoundTrip is the HTTP fallback for every
+// request — what the door would not take raw (a body over MaxBody or of
+// unknown length, a head over HeadBudget, a probe) and a routed POST /txn
+// that Fits alike — and dials no hop connection.
 func TestUnlinkableRequestsUseHTTP(t *testing.T) {
 	b := newBackend(t, nil)
 	tr := link.NewTransport()
@@ -451,5 +459,11 @@ func TestUnlinkableRequestsUseHTTP(t *testing.T) {
 	if st := tr.Stats(b.addr); st.Dials != 0 || b.eng.execs.Load() != 2 || b.srv.DoorConns() != 0 {
 		t.Fatalf("%+v, %d transactions, %d door connections; want no hop dial, 2 over HTTP and none held by the door",
 			st, b.eng.execs.Load(), b.srv.DoorConns())
+	}
+	if code, body := do(t, tr, txnRequest(context.Background(), b.url, "k=2", nil, 1)); code != http.StatusOK {
+		t.Fatalf("a request that Fits: %d %q", code, body)
+	}
+	if st := tr.Stats(b.addr); st.Dials != 0 || b.eng.execs.Load() != 3 {
+		t.Fatalf("a request that Fits, through RoundTrip: %+v, %d transactions; want no hop dial", st, b.eng.execs.Load())
 	}
 }

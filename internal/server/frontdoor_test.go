@@ -264,13 +264,13 @@ func TestFrontDoorHandoff(t *testing.T) {
 			tr := link.NewTransport()
 			defer tr.CloseIdleConnections()
 			for i := 0; i < 3; i++ {
-				resp, err := tr.RoundTrip(newTxnRequest("http://"+addr, "k=2", ""))
+				rep, err := tr.Do(context.Background(), addr, "k=2", nil, 0, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				commit(t, resp, string(body))
+				if rep.Status != http.StatusOK || !strings.Contains(string(rep.Body), `"status":"committed"`) {
+					t.Fatalf("answer %d %q, want a commit", rep.Status, rep.Body)
+				}
 			}
 			if st := tr.Stats(addr); st.Dials != 1 || s.DoorConns() != 1 {
 				t.Fatalf("three hop round trips: %+v, %d door connections; want one connection, the door's", st, s.DoorConns())

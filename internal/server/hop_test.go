@@ -85,6 +85,25 @@ func answerOf(t *testing.T) func(*http.Response, error) wireAnswer {
 	}
 }
 
+// hopAnswer sends one routed POST /txn over the proxy's hop
+// (link.Transport.Do) to the backend at base and reads it as answerOf
+// does; a transport error is reported with t.Error and reads as status 0.
+func hopAnswer(t *testing.T, tr *link.Transport, base, query, body string) wireAnswer {
+	t.Helper()
+	rep, err := tr.Do(context.Background(), strings.TrimPrefix(base, "http://"), query, []byte(body), 0, nil, nil)
+	if err != nil {
+		t.Error(err)
+		return wireAnswer{}
+	}
+	return wireAnswer{
+		status:      rep.Status,
+		retryAfter:  rep.RetryAfter != "",
+		signal:      rep.Signal,
+		contentType: rep.ContentType,
+		body:        latencyField.ReplaceAllString(string(rep.Body), `"latency_ms":0`),
+	}
+}
+
 func newTxnRequest(base, query, body string) *http.Request {
 	var rd io.Reader
 	if body != "" {
@@ -135,8 +154,7 @@ func TestWireEquivalence(t *testing.T) {
 		}
 		overHTTP.headers = ""
 		for name, base := range map[string]string{"net/http": ts, "the door": "http://" + door} {
-			hop := answerOf(t)(tr.RoundTrip(newTxnRequest(base, query, body)))
-			hop.headers = ""
+			hop := hopAnswer(t, tr, base, query, body)
 			if overHTTP != hop {
 				t.Fatalf("the hop to %s disagrees:\n http %+v\n hop  %+v", name, overHTTP, hop)
 			}
@@ -254,10 +272,10 @@ func TestDrainLinks(t *testing.T) {
 
 	// Two connections: one left idle, one with a transaction parked.
 	first := make(chan wireAnswer, 1)
-	go func() { first <- answerOf(t)(tr.RoundTrip(newTxnRequest(base, "k=2", ""))) }()
+	go func() { first <- hopAnswer(t, tr, base, "k=2", "") }()
 	<-eng.entered
 	second := make(chan wireAnswer, 1)
-	go func() { second <- answerOf(t)(tr.RoundTrip(newTxnRequest(base, "k=2", ""))) }()
+	go func() { second <- hopAnswer(t, tr, base, "k=2", "") }()
 	<-eng.entered
 	eng.release <- struct{}{} // one of them finishes; its connection idles
 	var done wireAnswer
@@ -316,7 +334,7 @@ func TestLinkPanicUnregisters(t *testing.T) {
 	door := serveFrontDoor(t, s)
 	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
-	if _, err := tr.RoundTrip(newTxnRequest("http://"+door, "k=2", "")); err == nil {
+	if _, err := tr.Do(context.Background(), door, "k=2", nil, 0, nil, nil); err == nil {
 		t.Fatal("a panicking transaction still answered")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
@@ -334,7 +352,7 @@ func TestDrainLinksDeadline(t *testing.T) {
 	tr := link.NewTransport()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := tr.RoundTrip(newTxnRequest("http://"+door, "", ""))
+		_, err := tr.Do(context.Background(), door, "", nil, 0, nil, nil)
 		errc <- err
 	}()
 	<-eng.entered
@@ -393,8 +411,8 @@ func (c *recordingConn) Read(p []byte) (int, error) {
 // 0 bytes, 1 byte or the longest it sends raw; traced or not; a body of 0,
 // 1 or link.MaxBody bytes — is within link.HeadBudget, reads back as sent,
 // and is one the door serves: it keeps the connection instead of handing
-// it to net/http. One byte more of query and the hop sends the request
-// through its HTTP fallback.
+// it to net/http. One byte more of query and the request does not Fit:
+// the proxy sends it through RoundTrip instead.
 func TestHopHeadsAreTheDoors(t *testing.T) {
 	s, _ := newTestServer(t, 8, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -414,17 +432,13 @@ func TestHopHeadsAreTheDoors(t *testing.T) {
 	atBudget := "k=2&pad=" + strings.Repeat("x", link.HeadBudget-len(longest)-len("k=2&pad="))
 	hop := func(query string, traceID uint64, body []byte) *link.Transport {
 		t.Helper()
-		tr := link.NewTransport()
-		req, _ := http.NewRequest(http.MethodPost, "http://"+addr+"/txn?"+query, bytes.NewReader(body))
-		if traceID != 0 {
-			req.Header.Set(reqtrace.Header, reqtrace.FormatID(traceID))
+		if !link.Fits(addr, query, int64(len(body))) {
+			t.Fatalf("query of %d, body of %d: does not Fit", len(query), len(body))
 		}
-		resp, err := tr.RoundTrip(req)
-		if err != nil {
+		tr := link.NewTransport()
+		if _, err := tr.Do(context.Background(), addr, query, body, traceID, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 		return tr
 	}
 	for _, query := range []string{"", "k", atBudget} {
@@ -453,7 +467,7 @@ func TestHopHeadsAreTheDoors(t *testing.T) {
 			}
 		}
 	}
-	if tr := hop(atBudget+"x", 0xfeedface, nil); tr.Stats(addr).Dials != 0 {
-		t.Fatal("a query over the budget went out raw")
+	if link.Fits(addr, atBudget+"x", 0) {
+		t.Fatal("a query over the budget Fits")
 	}
 }

@@ -287,17 +287,8 @@ func TestServeDrainsLinkTransactions(t *testing.T) {
 	tr := link.NewTransport()
 	defer tr.CloseIdleConnections()
 	post := func(query string) (int, error) {
-		req, err := http.NewRequest(http.MethodPost, base+"/txn?"+query, nil)
-		if err != nil {
-			return 0, err
-		}
-		resp, err := tr.RoundTrip(req)
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, nil
+		rep, err := tr.Do(context.Background(), addr, query, nil, 0, nil, nil)
+		return rep.Status, err
 	}
 	long := make(chan int, 1)
 	go func() {
