@@ -180,7 +180,7 @@ func runScenario(name string, urls []string, seed int64, seedSet, asJSON bool) {
 	// No actuator here: a scenario with cluster events needs a harness
 	// that controls the backends (see the cluster integration test) and
 	// is rejected with a clear error.
-	rep, err := loadgen.RunScenarioOpts(ctx, sc, loadgen.ScenarioOptions{URLs: urls})
+	rep, err := loadgen.RunScenario(ctx, sc, loadgen.ScenarioOptions{URLs: urls})
 	if err != nil {
 		log.Fatal(err)
 	}

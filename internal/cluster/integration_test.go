@@ -227,7 +227,7 @@ func runClusterScenario(t *testing.T, policy string) (loadgen.ScenarioReport, Sn
 	)
 	go func() {
 		defer close(done)
-		rep, runErr = loadgen.RunScenarioOpts(context.Background(), clusterScenario(), loadgen.ScenarioOptions{
+		rep, runErr = loadgen.RunScenario(context.Background(), clusterScenario(), loadgen.ScenarioOptions{
 			URLs:     []string{front.URL},
 			Client:   &http.Client{Timeout: 5 * time.Second},
 			Actuator: act,

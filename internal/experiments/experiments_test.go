@@ -1,14 +1,23 @@
 package experiments
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"github.com/tpctl/loadctl/internal/core"
+	"github.com/tpctl/loadctl/internal/telemetry"
+	"github.com/tpctl/loadctl/internal/tpsim"
 )
 
 // tinyOpts keeps experiment tests fast; shape checks at this scale are
@@ -175,24 +184,130 @@ func TestHelpers(t *testing.T) {
 	}
 }
 
-// Every registered experiment is a deterministic function of its Options:
-// two runs agree on the outcome, every metric and every CSV byte. Scale
-// 0.03 is where every Options floor binds (40 s horizons, 1.2 s intervals,
-// 3-point grids), the smallest runs the experiments have.
+var update = flag.Bool("update", false, "rewrite "+digestFile+" from this run")
+
+// digestFile pins every simulation's output: one "<id> <sha256>" line per
+// registered experiment and per pinned loadsim run.
+const digestFile = "testdata/digests.txt"
+
+// pinnedRuns are cmd/loadsim's `-displace -controller pa -dur 300 -seed 7`
+// runs with OCC and with -proto 2pl: displacement under both protocols at
+// 800 terminals for 300 s, longer than any registered experiment runs at
+// test scale.
+var pinnedRuns = []struct {
+	id    string
+	proto tpsim.ProtocolKind
+}{{"loadsim-displace-pa-occ", tpsim.OCC}, {"loadsim-displace-pa-2pl", tpsim.TwoPL}}
+
+// Every registered experiment is a deterministic function of its Options,
+// and its output is pinned: one run's outcome, metrics and CSV bytes must
+// hash to the digest in digestFile. A nondeterministic run mismatches as
+// surely as a changed simulation. Scale 0.03 is where every Options floor
+// binds (40 s horizons, 1.2 s intervals, 3-point grids), the smallest runs
+// the experiments have. Go may fuse multiply-adds on other architectures,
+// so the digests hold on amd64 only; elsewhere each run is done twice and
+// the two digests compared.
 func TestDeterministicOutcomes(t *testing.T) {
+	want := readDigests(t)
+	var mu sync.Mutex
+	got := map[string]string{}
+	check := func(t *testing.T, id string, digest func() string) {
+		t.Parallel()
+		d := digest()
+		mu.Lock()
+		got[id] = d
+		mu.Unlock()
+		switch {
+		case runtime.GOARCH != "amd64":
+			if again := digest(); again != d {
+				t.Fatalf("%s: output diverged between two runs", id)
+			}
+		case *update:
+		case want[id] != d:
+			t.Fatalf("%s: output digest %s, %s pins %q (rerun with -update if the change is intended)",
+				id, d, digestFile, want[id])
+		}
+	}
 	for _, e := range All {
 		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			a, aCSV := runWithCSV(t, e)
-			b, bCSV := runWithCSV(t, e)
-			// %v prints map keys sorted and each float exactly.
-			if a.String() != b.String() || fmt.Sprint(a.Metrics) != fmt.Sprint(b.Metrics) {
-				t.Fatalf("outcome diverged:\n%s %v\n%s %v", a, a.Metrics, b, b.Metrics)
-			}
-			if !maps.EqualFunc(aCSV, bCSV, bytes.Equal) {
-				t.Fatal("CSV output diverged between runs")
-			}
+			check(t, e.ID, func() string { return outcomeDigest(t, e) })
 		})
+	}
+	for _, r := range pinnedRuns {
+		t.Run(r.id, func(t *testing.T) {
+			check(t, r.id, func() string { return loadsimDigest(r.proto) })
+		})
+	}
+	if *update && runtime.GOARCH == "amd64" {
+		// Cleanup runs once every parallel subtest has finished.
+		t.Cleanup(func() { writeDigests(t, got) })
+	}
+}
+
+// outcomeDigest runs e once and hashes its outcome, its metrics (%v prints
+// map keys sorted and each float exactly) and every CSV it wrote.
+func outcomeDigest(t *testing.T, e Experiment) string {
+	out, files := runWithCSV(t, e)
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%v\n", out, out.Metrics)
+	for _, name := range slices.Sorted(maps.Keys(files)) {
+		fmt.Fprintf(h, "%s %d\n", name, len(files[name]))
+		h.Write(files[name])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// loadsimDigest runs cmd/loadsim's pinned configuration and hashes every
+// series it prints, at exact floats, plus its summary line.
+func loadsimDigest(proto tpsim.ProtocolKind) string {
+	cfg := tpsim.DefaultConfig()
+	cfg.Seed = 7
+	cfg.Terminals = 800
+	cfg.Duration = 300
+	cfg.WarmUp = 0
+	cfg.Displacement = true
+	cfg.Protocol = proto
+	cfg.Controller = core.NewPA(core.DefaultPAConfig())
+	res := tpsim.New(cfg).Run()
+	h := sha256.New()
+	for _, s := range []telemetry.Series{res.Throughput, res.Load, res.Bound, res.Resp,
+		res.ConflictRate, res.Util, res.Goodput, res.GateQueue} {
+		fmt.Fprintf(h, "%s %v\n", s.Name, s.Points)
+	}
+	fmt.Fprintln(h, res.Summary())
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func readDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(digestFile)
+	if err != nil {
+		if *update {
+			return nil
+		}
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		id, d, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", digestFile, line)
+		}
+		want[id] = d
+	}
+	return want
+}
+
+func writeDigests(t *testing.T, got map[string]string) {
+	var b strings.Builder
+	for _, id := range slices.Sorted(maps.Keys(got)) {
+		fmt.Fprintf(&b, "%s %s\n", id, got[id])
+	}
+	if err := os.MkdirAll(filepath.Dir(digestFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(digestFile, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -89,8 +89,9 @@ func TestBatchFloodDoesNotStarveInteractive(t *testing.T) {
 			{Class: "batch", Mode: "closed", Clients: 64, ThinkMS: 0},
 		},
 	}
-	rep, err := RunScenario(context.Background(), ts.URL,
-		sc, &http.Client{Timeout: 5 * time.Second})
+	rep, err := RunScenario(context.Background(), sc, ScenarioOptions{
+		URLs: []string{ts.URL}, Client: &http.Client{Timeout: 5 * time.Second},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

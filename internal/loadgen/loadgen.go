@@ -12,6 +12,10 @@
 //
 //   - closed loop: a fixed population of clients, each cycling
 //     think → request → response, the paper's terminal model (§7).
+//
+// Run replays one Config and RunScenario a JSON scenario of several
+// streams; both compile to the same stream runner, so every open loop
+// keeps to its absolute arrival schedule.
 package loadgen
 
 import (
@@ -117,9 +121,21 @@ func (c Config) withDefaults() Config {
 		c.MaxInFlight = 4096
 	}
 	if c.Client == nil {
-		c.Client = &http.Client{Timeout: c.Timeout}
+		c.Client = newClient(c.Timeout)
 	}
 	return c
+}
+
+// newClient is the default HTTP client. net/http keeps two idle
+// connections per host unless told otherwise, so an open loop whose
+// in-flight count swings above two dials and drops a connection on almost
+// every arrival; from a few thousand requests a second that churn, not the
+// target, sets the latency, and the generator falls behind its schedule.
+func newClient(timeout time.Duration) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no total cap; the per-host cap below binds
+	tr.MaxIdleConnsPerHost = 256
+	return &http.Client{Timeout: timeout, Transport: tr}
 }
 
 // Report summarizes one run from the client's vantage point.
@@ -161,7 +177,8 @@ type Report struct {
 	// it onto the wire. When the generator falls behind (GC pause, CPU
 	// starvation, a stalled connection pool), the missed wait is service
 	// delay the schedule's client would have experienced — dropping it
-	// understates tail latency exactly when the system is in trouble.
+	// understates tail latency exactly when the system is in trouble. The
+	// quantiles are log-bucket midpoints, within about ±10 %; means are exact.
 	LatMean float64 `json:"lat_mean"`
 	LatP50  float64 `json:"lat_p50"`
 	LatP95  float64 `json:"lat_p95"`
@@ -186,35 +203,20 @@ func (r Report) String() string {
 		1e3*r.LatMean, 1e3*r.LatP50, 1e3*r.LatP95, 1e3*r.LatP99, 1e3*r.LatRawP99, r.Queries, r.Updates)
 }
 
-// collector accumulates thread-safe run statistics.
+// collector accumulates thread-safe run statistics. Latency quantiles come
+// from the same lock-free log-bucket histogram the servers export on
+// /metrics (±10 % from 50 µs up); means stay exact.
 type collector struct {
 	sent, shed, committed, rejected, timeouts, aborted, errs atomic.Uint64
 	unresolved                                               atomic.Uint64
 	queries, updates                                         atomic.Uint64
 
-	mu      sync.Mutex
-	lat     telemetry.Welford // corrected: from the intended send slot
-	rawLat  telemetry.Welford // raw: from the actual send
-	hist    *telemetry.FixedHistogram
-	rawHist *telemetry.FixedHistogram
-}
+	hist    telemetry.Histogram // corrected: from the intended send slot
+	rawHist telemetry.Histogram // raw: from the actual send
 
-func newCollector(timeout time.Duration) *collector {
-	// Bucket committed latencies at 1ms resolution up to 5s (or the HTTP
-	// timeout when lower); slower responses clamp into the top bucket, so
-	// quantiles saturate rather than lose resolution for the common case.
-	span := 5.0
-	if t := timeout.Seconds(); t < span {
-		span = t
-	}
-	buckets := int(span * 1000)
-	if buckets < 1 {
-		buckets = 1
-	}
-	return &collector{
-		hist:    telemetry.NewFixedHistogram(0, span, buckets),
-		rawHist: telemetry.NewFixedHistogram(0, span, buckets),
-	}
+	mu     sync.Mutex
+	lat    telemetry.Welford
+	rawLat telemetry.Welford
 }
 
 func (c *collector) observe(status int, lat, rawLat time.Duration, err error) {
@@ -225,11 +227,11 @@ func (c *collector) observe(status int, lat, rawLat time.Duration, err error) {
 	switch status {
 	case http.StatusOK:
 		c.committed.Add(1)
+		c.hist.Observe(lat.Seconds())
+		c.rawHist.Observe(rawLat.Seconds())
 		c.mu.Lock()
 		c.lat.Add(lat.Seconds())
-		c.hist.Add(lat.Seconds())
 		c.rawLat.Add(rawLat.Seconds())
-		c.rawHist.Add(rawLat.Seconds())
 		c.mu.Unlock()
 	case http.StatusTooManyRequests:
 		c.rejected.Add(1)
@@ -261,16 +263,18 @@ func (c *collector) report(mode Mode, dur time.Duration) Report {
 		r.Throughput = float64(r.Committed) / r.Duration
 	}
 	c.mu.Lock()
-	r.LatMean = c.lat.Mean()
-	r.LatP50 = c.hist.Quantile(0.50)
-	r.LatP95 = c.hist.Quantile(0.95)
-	r.LatP99 = c.hist.Quantile(0.99)
-	r.LatRawMean = c.rawLat.Mean()
-	r.LatRawP50 = c.rawHist.Quantile(0.50)
-	r.LatRawP95 = c.rawHist.Quantile(0.95)
-	r.LatRawP99 = c.rawHist.Quantile(0.99)
+	mean, rawMean := c.lat.Mean(), c.rawLat.Mean()
 	c.mu.Unlock()
+	r.setLatency(mean, rawMean, c.hist.Counts(), c.rawHist.Counts())
 	return r
+}
+
+// setLatency fills the latency fields from the means and the bucket counts
+// of the corrected and raw histograms.
+func (r *Report) setLatency(mean, rawMean float64, hist, rawHist telemetry.HistCounts) {
+	r.LatMean, r.LatRawMean = mean, rawMean
+	r.LatP50, r.LatP95, r.LatP99 = hist.Quantile(0.50), hist.Quantile(0.95), hist.Quantile(0.99)
+	r.LatRawP50, r.LatRawP95, r.LatRawP99 = rawHist.Quantile(0.50), rawHist.Quantile(0.95), rawHist.Quantile(0.99)
 }
 
 // targets spreads requests over one or more base URLs: next() rotates
@@ -334,26 +338,73 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if cfg.Mode == Open && cfg.Rate == nil {
 		return Report{}, errors.New("loadgen: open-loop mode needs Config.Rate")
 	}
-
-	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
-	defer cancel()
-
-	col := newCollector(cfg.Timeout)
-	start := time.Now()
-	var wg sync.WaitGroup
-
-	switch cfg.Mode {
-	case Open:
-		runOpen(runCtx, cfg, tg, col, start, &wg)
-	case Closed:
-		runClosed(runCtx, cfg, tg, col, start, &wg)
-	default:
+	if cfg.Mode != Open && cfg.Mode != Closed {
 		return Report{}, fmt.Errorf("loadgen: unknown mode %d", cfg.Mode)
 	}
 
-	wg.Wait()
-	return col.report(cfg.Mode, time.Since(start)), nil
+	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
+	defer cancel()
+	s := &stream{
+		mode:        cfg.Mode,
+		rate:        cfg.Rate,
+		k:           cfg.Mix.K,
+		queryFrac:   cfg.Mix.QueryFrac,
+		think:       cfg.Think,
+		clients:     cfg.Clients,
+		maxInFlight: cfg.MaxInFlight,
+		trace:       cfg.Trace,
+		seed:        cfg.Seed,
+		client:      cfg.Client,
+		targets:     tg,
+		start:       time.Now(),
+		col:         &collector{},
+	}
+	s.run(runCtx)
+	return s.col.report(cfg.Mode, time.Since(s.start)), nil
 }
+
+// stream is the one traffic driver: Run compiles its Config into one, and
+// RunScenario compiles each StreamConfig into one.
+type stream struct {
+	mode         Mode
+	class, shape string
+	// rate paces an open stream; k and queryFrac, when nil, leave the size
+	// and the shape to the server.
+	rate, k, queryFrac workload.Schedule
+	think              sim.Dist // closed-loop think time in seconds
+	clients            int
+	maxInFlight        int
+	// startS/stopS bound the active window on the run clock (stop 0 = to
+	// the end of the run).
+	startS, stopS float64
+	hotspot       *HotspotConfig
+	items         int // store size, for placing hotspot ranges
+	retryOn       map[int]bool
+	retryMax      int
+	backoff       time.Duration
+	stall         time.Duration
+	trace         bool
+
+	// Run wiring: the stream's RNG offset, shared client and targets, the
+	// run's start, and the stream's own collector.
+	id      uint64
+	seed    int64
+	client  *http.Client
+	targets *targets
+	start   time.Time
+	col     *collector
+}
+
+func (s *stream) run(ctx context.Context) {
+	if s.mode == Closed {
+		s.runClosed(ctx)
+		return
+	}
+	s.runOpen(ctx)
+}
+
+// ended reports whether the stream's window closed before run time t.
+func (s *stream) ended(t float64) bool { return s.stopS > 0 && t >= s.stopS }
 
 // runOpen paces a non-homogeneous Poisson process: inter-arrival gaps are
 // exponential at the instantaneous rate Rate(t). Each arrival fires in its
@@ -362,23 +413,31 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 // Pacing follows an absolute intended-time schedule: each exponential gap
 // advances next from the previous intended slot, never from whenever the
 // loop actually woke up. If the generator falls behind (GC pause, CPU
-// starvation), subsequent arrivals fire back-to-back until the schedule
-// catches up, and each request's corrected latency is measured from its
-// intended slot. Pacing relative to the actual wake time instead would
-// silently slow the offered load and hide the backlog — the coordinated
-// omission trap.
-func runOpen(ctx context.Context, cfg Config, tg *targets, col *collector, start time.Time, wg *sync.WaitGroup) {
-	pacer := sim.Stream(cfg.Seed, 1)
-	mixer := sim.Stream(cfg.Seed, 2)
-	sem := make(chan struct{}, cfg.MaxInFlight)
-	next := start
+// starvation, timer slack on sub-millisecond gaps), subsequent arrivals
+// fire back-to-back until the schedule catches up, and each request's
+// corrected latency is measured from its intended slot. Pacing relative
+// to the actual wake time instead would silently slow the offered load
+// and hide the backlog — the coordinated omission trap.
+func (s *stream) runOpen(ctx context.Context) {
+	pacer := sim.Stream(s.seed, 1000+s.id)
+	mixer := sim.Stream(s.seed, 2000+s.id)
+	sem := make(chan struct{}, s.maxInFlight)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	next := s.start
 	for {
-		t := next.Sub(start).Seconds()
-		rate := cfg.Rate.Value(t)
+		t := next.Sub(s.start).Seconds()
+		if s.ended(t) {
+			return
+		}
+		rate := 0.0
+		if t >= s.startS {
+			rate = s.rate.Value(t)
+		}
 		dormant := rate <= 0 || math.IsNaN(rate)
 		if dormant {
-			// Dormant schedule: step the intended clock forward in poll
-			// increments until the rate comes back to life.
+			// Dormant schedule or window not yet open: step the intended
+			// clock forward in poll increments until the rate comes alive.
 			next = next.Add(10 * time.Millisecond)
 		} else {
 			next = next.Add(time.Duration(pacer.Exp(1/rate) * float64(time.Second)))
@@ -396,57 +455,130 @@ func runOpen(ctx context.Context, cfg Config, tg *targets, col *collector, start
 		if dormant {
 			continue
 		}
-		class, k := sampleTxn(mixer, cfg.Mix, next.Sub(start).Seconds())
 		select {
 		case sem <- struct{}{}:
 		default:
-			col.shed.Add(1)
+			s.col.shed.Add(1)
 			continue
 		}
-		base := tg.next()
+		p := s.params(mixer, next.Sub(s.start).Seconds())
+		base := s.targets.next()
 		intended := next
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			doRequest(ctx, cfg, base, col, class, k, intended)
+			s.request(ctx, base, p, intended)
 		}()
 	}
 }
 
-// runClosed runs the terminal model: Clients goroutines looping
-// think → request → response until the run ends. Each client is pinned to
-// one target, spreading the population round-robin over the target set.
-func runClosed(ctx context.Context, cfg Config, tg *targets, col *collector, start time.Time, wg *sync.WaitGroup) {
-	for i := 0; i < cfg.Clients; i++ {
+// runClosed runs the terminal model: clients goroutines looping
+// think → request → response while the window is open. Each client is
+// pinned to one target, spreading the population round-robin.
+func (s *stream) runClosed(ctx context.Context) {
+	var wg sync.WaitGroup
+	for i := 0; i < s.clients; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			base := tg.pin(id)
-			rng := sim.Stream(cfg.Seed, 100+uint64(id))
+			base := s.targets.pin(int(s.id)*1000 + id)
+			rng := sim.Stream(s.seed, 10000+s.id*1000+uint64(id))
 			for {
-				think := time.Duration(cfg.Think.Sample(rng) * float64(time.Second))
+				gap := time.Duration(s.think.Sample(rng) * float64(time.Second))
+				t := time.Since(s.start).Seconds()
+				if t < s.startS {
+					gap = time.Duration((s.startS - t) * float64(time.Second))
+				}
 				select {
 				case <-ctx.Done():
 					return
-				case <-time.After(think):
+				case <-time.After(gap):
 				}
-				class, k := sampleTxn(rng, cfg.Mix, time.Since(start).Seconds())
+				t = time.Since(s.start).Seconds()
+				if s.ended(t) {
+					return
+				}
+				if t < s.startS {
+					continue
+				}
 				// No intended slot: a closed-loop client genuinely waits
 				// for each response, so the raw latency is the honest one.
-				doRequest(ctx, cfg, base, col, class, k, time.Time{})
+				s.request(ctx, base, s.params(rng, t), time.Time{})
 			}
 		}(i)
 	}
+	wg.Wait()
 }
 
-// sampleTxn draws one transaction's class and size from the mix at time t.
-func sampleTxn(rng *sim.RNG, mix workload.Mix, t float64) (class string, k int) {
-	class = "update"
-	if rng.Bernoulli(mix.QueryFracAt(t)) {
-		class = "query"
+// params assembles one request's parameters at run time t.
+func (s *stream) params(rng *sim.RNG, t float64) txnParams {
+	p := txnParams{Class: s.class, Shape: s.shape, Trace: s.trace}
+	if p.Shape == "" && s.queryFrac != nil {
+		p.Shape = "update"
+		if rng.Bernoulli(clamp01(s.queryFrac.Value(t))) {
+			p.Shape = "query"
+		}
 	}
-	return class, mix.KAt(t)
+	if s.k != nil {
+		k := int(math.Round(s.k.Value(t)))
+		if k < 1 {
+			k = 1
+		}
+		p.K = k
+	}
+	if h := s.hotspot; h != nil {
+		span := int(h.SpanFrac * float64(s.items))
+		if span < 1 {
+			span = 1
+		}
+		shift := 0
+		if h.ShiftSeconds > 0 {
+			shift = int(t / h.ShiftSeconds)
+		}
+		// Knuth-style multiplicative placement decorrelates successive
+		// hot-set positions across the store.
+		p.Base = int((uint64(shift)*2654435761 + s.id*97) % uint64(s.items))
+		p.Span = span
+	}
+	return p
+}
+
+func clamp01(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	if v > 1 {
+		return 1
+	}
+	return v
+}
+
+// request performs one logical transaction: the first attempt, timed from
+// intended when the stream has a schedule, plus any configured client-side
+// retries of shed outcomes, which are timed raw.
+func (s *stream) request(ctx context.Context, base string, p txnParams, intended time.Time) {
+	for attempt := 0; ; attempt++ {
+		status := issueRequest(ctx, s.client, base, s.col, p, intended)
+		if attempt >= s.retryMax || !s.retryOn[status] {
+			break
+		}
+		intended = time.Time{}
+		if s.backoff > 0 {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(s.backoff):
+			}
+		}
+	}
+	if s.stall > 0 {
+		// Slow-client drip: dwell before releasing this slot/terminal.
+		select {
+		case <-ctx.Done():
+		case <-time.After(s.stall):
+		}
+	}
 }
 
 // txnParams is everything one POST /txn carries. Class/Shape empty means
@@ -490,16 +622,8 @@ func (p txnParams) url(base string) string {
 	return b.String()
 }
 
-// doRequest performs one POST /txn round trip and records the outcome.
-// intended is the request's slot on the arrival schedule (zero when there
-// is none — closed loop, scenario probes).
-func doRequest(ctx context.Context, cfg Config, base string, col *collector, class string, k int, intended time.Time) {
-	issueRequest(ctx, cfg.Client, base, col, txnParams{Class: class, K: k, Trace: cfg.Trace}, intended)
-}
-
-// issueRequest is the shared request primitive under both the schedule
-// replayer and the scenario engine. It returns the HTTP status (0 when
-// the request never completed). A non-zero intended timestamps the
+// issueRequest performs one POST /txn round trip and records the outcome.
+// It returns the HTTP status (0 when the request never completed). A non-zero intended timestamps the
 // request's slot on the arrival schedule; the corrected latency is
 // measured from it (raw latency always runs from the actual send).
 func issueRequest(ctx context.Context, client *http.Client, base string, col *collector, p txnParams, intended time.Time) int {

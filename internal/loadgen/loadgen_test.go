@@ -14,7 +14,7 @@ import (
 	"github.com/tpctl/loadctl/internal/workload"
 )
 
-// stubServer mimics the /txn contract: counts requests per class and
+// stubServer mimics the /txn contract: counts requests per shape and
 // answers a rotating slice of statuses.
 type stubServer struct {
 	queries, updates atomic.Uint64
@@ -28,7 +28,7 @@ func (s *stubServer) handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		switch r.URL.Query().Get("class") {
+		switch r.URL.Query().Get("shape") {
 		case "query":
 			s.queries.Add(1)
 		case "update":
@@ -242,7 +242,7 @@ func TestCoordinatedOmissionCorrection(t *testing.T) {
 	ts := httptest.NewServer((&stubServer{}).handler())
 	defer ts.Close()
 
-	col := newCollector(time.Second)
+	col := &collector{}
 	const lag = 150 * time.Millisecond
 	for i := 0; i < 4; i++ {
 		intended := time.Now().Add(-lag) // generator woke up lag late
@@ -263,13 +263,28 @@ func TestCoordinatedOmissionCorrection(t *testing.T) {
 
 	// Without an intended slot (closed loop, scenario probes) both tracks
 	// must agree.
-	col = newCollector(time.Second)
+	col = &collector{}
 	if st := issueRequest(context.Background(), ts.Client(), ts.URL, col, txnParams{Class: "query"}, time.Time{}); st != http.StatusOK {
 		t.Fatalf("status %d", st)
 	}
 	rep = col.report(Closed, time.Second)
 	if rep.LatMean != rep.LatRawMean {
 		t.Fatalf("no schedule, but corrected mean %.3fms != raw mean %.3fms", 1e3*rep.LatMean, 1e3*rep.LatRawMean)
+	}
+}
+
+// TestLatencyResolvesSubMillisecond checks that the collector resolves
+// loopback-scale latencies: 100 µs round trips must not read as a
+// millisecond-wide bucket's midpoint.
+func TestLatencyResolvesSubMillisecond(t *testing.T) {
+	col := &collector{}
+	for i := 0; i < 100; i++ {
+		col.observe(http.StatusOK, 100*time.Microsecond, 100*time.Microsecond, nil)
+	}
+	rep := col.report(Open, time.Second)
+	if rep.LatP50 >= 0.2e-3 || rep.LatRawP50 >= 0.2e-3 {
+		t.Fatalf("100µs latencies read as p50 %.3fms (raw %.3fms), want below 0.2ms",
+			1e3*rep.LatP50, 1e3*rep.LatRawP50)
 	}
 }
 

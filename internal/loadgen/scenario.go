@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"github.com/tpctl/loadctl/internal/sim"
+	"github.com/tpctl/loadctl/internal/telemetry"
 	"github.com/tpctl/loadctl/internal/workload"
 )
 
@@ -234,7 +235,7 @@ func (e ClusterEvent) String() string {
 // on the scenario clock while the traffic streams run. Executing the
 // events needs a ClusterActuator (the scenario file only *describes* the
 // faults; only the harness running the backends can inflict them), so
-// RunScenarioOpts rejects a cluster scenario without one.
+// RunScenario rejects a cluster scenario without one.
 type ClusterConfig struct {
 	Events []ClusterEvent `json:"events"`
 }
@@ -444,7 +445,7 @@ func indent(s string) string {
 	return string(bytes.ReplaceAll([]byte(s), []byte("\n"), []byte("\n    ")))
 }
 
-// ScenarioOptions parameterizes RunScenarioOpts.
+// ScenarioOptions parameterizes RunScenario.
 type ScenarioOptions struct {
 	// URLs are the target base URLs (one = the classic single-server
 	// run; several = spread over a proxy and/or backends, open-loop
@@ -458,17 +459,11 @@ type ScenarioOptions struct {
 	Actuator ClusterActuator
 }
 
-// RunScenario drives the server with every stream of the scenario until
-// its duration elapses or ctx ends. client may be nil (a default client
-// with a 30s timeout is used). The error is non-nil only for
-// configuration problems; transport failures are counted per stream.
-func RunScenario(ctx context.Context, url string, sc *Scenario, client *http.Client) (ScenarioReport, error) {
-	return RunScenarioOpts(ctx, sc, ScenarioOptions{URLs: []string{url}, Client: client})
-}
-
-// RunScenarioOpts is RunScenario with multi-target spreading and cluster
-// fault injection.
-func RunScenarioOpts(ctx context.Context, sc *Scenario, opts ScenarioOptions) (ScenarioReport, error) {
+// RunScenario drives the targets with every stream of the scenario until
+// its duration elapses or ctx ends, injecting its cluster faults through
+// opts.Actuator. The error is non-nil only for configuration problems;
+// transport failures are counted per stream.
+func RunScenario(ctx context.Context, sc *Scenario, opts ScenarioOptions) (ScenarioReport, error) {
 	tg, err := newTargets(opts.URLs)
 	if err != nil {
 		return ScenarioReport{}, errors.New("loadgen: scenario needs at least one server URL")
@@ -481,7 +476,7 @@ func RunScenarioOpts(ctx context.Context, sc *Scenario, opts ScenarioOptions) (S
 	}
 	client := opts.Client
 	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+		client = newClient(30 * time.Second)
 	}
 	seed := sc.Seed
 	if seed == 0 {
@@ -521,38 +516,26 @@ func RunScenarioOpts(ctx context.Context, sc *Scenario, opts ScenarioOptions) (S
 		}()
 	}
 
-	cols := make([]*collector, len(sc.Streams))
-	timeout := 30 * time.Second
-	if client.Timeout > 0 {
-		timeout = client.Timeout
-	}
+	streams := make([]*stream, len(sc.Streams))
 	var wg sync.WaitGroup
 	for i := range sc.Streams {
-		cols[i] = newCollector(timeout)
-		st := &sc.Streams[i]
-		runner := &streamRunner{
-			scenario: sc,
-			cfg:      st,
-			col:      cols[i],
-			client:   client,
-			targets:  tg,
-			start:    start,
-			seed:     seed,
-			id:       uint64(i),
-		}
+		s := sc.Streams[i].compile(sc.Items)
+		s.id, s.seed, s.client, s.targets, s.start, s.col = uint64(i), seed, client, tg, start, &collector{}
+		streams[i] = s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runner.run(runCtx)
+			s.run(runCtx)
 		}()
 	}
 	wg.Wait()
 	clusterWG.Wait()
 
 	rep := ScenarioReport{Scenario: sc.Name, Duration: time.Since(start).Seconds(), Cluster: clusterLog}
-	var totalHist *histMerge
+	var hist, rawHist telemetry.HistCounts
+	var latSum, rawSum float64
 	for i, st := range sc.Streams {
-		r := cols[i].report(modeOf(st.Mode), time.Since(start))
+		r := streams[i].col.report(streams[i].mode, time.Since(start))
 		rep.Streams = append(rep.Streams, StreamReport{Name: st.Name, Class: st.Class, Report: r})
 		rep.Total.Sent += r.Sent
 		rep.Total.Shed += r.Shed
@@ -564,294 +547,58 @@ func RunScenarioOpts(ctx context.Context, sc *Scenario, opts ScenarioOptions) (S
 		rep.Total.Unresolved += r.Unresolved
 		rep.Total.Queries += r.Queries
 		rep.Total.Updates += r.Updates
-		if totalHist == nil {
-			totalHist = newHistMerge(cols[i])
-		} else {
-			totalHist.add(cols[i])
-		}
+		hist = hist.Add(streams[i].col.hist.Counts())
+		rawHist = rawHist.Add(streams[i].col.rawHist.Counts())
+		// Every committed request is one observation in both means.
+		latSum += r.LatMean * float64(r.Committed)
+		rawSum += r.LatRawMean * float64(r.Committed)
 	}
 	rep.Total.Mode = "scenario"
 	rep.Total.Duration = rep.Duration
+	var mean, rawMean float64
+	if n := float64(rep.Total.Committed); n > 0 {
+		mean, rawMean = latSum/n, rawSum/n
+	}
 	if rep.Duration > 0 {
 		rep.Total.Throughput = float64(rep.Total.Committed) / rep.Duration
 	}
-	if totalHist != nil {
-		rep.Total.LatMean = totalHist.mean()
-		rep.Total.LatP50 = totalHist.quantile(0.50)
-		rep.Total.LatP95 = totalHist.quantile(0.95)
-		rep.Total.LatP99 = totalHist.quantile(0.99)
-	}
+	rep.Total.setLatency(mean, rawMean, hist, rawHist)
 	return rep, nil
 }
 
-func modeOf(s string) Mode {
-	if s == "closed" {
-		return Closed
+// compile turns the validated stream into the runner's form; items is the
+// scenario's store size.
+func (st *StreamConfig) compile(items int) *stream {
+	s := &stream{
+		mode:        Open,
+		class:       st.Class,
+		shape:       st.Shape,
+		think:       sim.Exponential{Mu: st.ThinkMS / 1e3},
+		clients:     st.Clients,
+		maxInFlight: st.MaxInFlight,
+		startS:      st.StartSeconds,
+		stopS:       st.StopSeconds,
+		hotspot:     st.Hotspot,
+		items:       items,
+		stall:       time.Duration(st.StallMS * float64(time.Millisecond)),
 	}
-	return Open
-}
-
-// streamRunner drives one stream.
-type streamRunner struct {
-	scenario *Scenario
-	cfg      *StreamConfig
-	col      *collector
-	client   *http.Client
-	targets  *targets
-	start    time.Time
-	seed     int64
-	id       uint64
-
-	// Compiled schedules (nil when the stream leaves them to the server).
-	rate, kSched, qfSched workload.Schedule
-}
-
-// compile builds the stream's schedules once; the configs were validated.
-func (r *streamRunner) compile() {
-	if r.cfg.Rate != nil {
-		r.rate, _ = r.cfg.Rate.Build()
+	if st.Mode == "closed" {
+		s.mode = Closed
 	}
-	if r.cfg.K != nil {
-		r.kSched, _ = r.cfg.K.Build()
+	// Validate has built every schedule once already, so these cannot fail.
+	if st.Rate != nil {
+		s.rate, _ = st.Rate.Build()
 	}
-	if r.cfg.QueryFrac != nil {
-		r.qfSched, _ = r.cfg.QueryFrac.Build()
+	if st.K != nil {
+		s.k, _ = st.K.Build()
 	}
-}
-
-// active reports whether t lies in the stream's window.
-func (r *streamRunner) active(t float64) bool {
-	if t < r.cfg.StartSeconds {
-		return false
+	if st.QueryFrac != nil {
+		s.queryFrac, _ = st.QueryFrac.Build()
 	}
-	if r.cfg.StopSeconds > 0 && t >= r.cfg.StopSeconds {
-		return false
+	if r := st.Retry; r != nil {
+		s.retryOn, _ = r.statuses()
+		s.retryMax = r.Max
+		s.backoff = time.Duration(r.BackoffMS * float64(time.Millisecond))
 	}
-	return true
-}
-
-func (r *streamRunner) run(ctx context.Context) {
-	r.compile()
-	if r.cfg.Mode == "closed" {
-		r.runClosed(ctx)
-		return
-	}
-	r.runOpen(ctx)
-}
-
-func (r *streamRunner) runOpen(ctx context.Context) {
-	pacer := sim.Stream(r.seed, 1000+r.id)
-	mixer := sim.Stream(r.seed, 2000+r.id)
-	sem := make(chan struct{}, r.cfg.MaxInFlight)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		t := time.Since(r.start).Seconds()
-		v := 0.0
-		if r.active(t) {
-			v = r.rate.Value(t)
-		}
-		dormant := v <= 0 || math.IsNaN(v)
-		var gap time.Duration
-		if dormant {
-			// Dormant schedule or inactive window: poll for life.
-			gap = 10 * time.Millisecond
-		} else {
-			gap = time.Duration(pacer.Exp(1/v) * float64(time.Second))
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(gap):
-		}
-		if dormant {
-			continue
-		}
-		select {
-		case sem <- struct{}{}:
-		default:
-			r.col.shed.Add(1)
-			continue
-		}
-		p := r.params(mixer, time.Since(r.start).Seconds())
-		base := r.targets.next()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			r.request(ctx, base, p)
-		}()
-	}
-}
-
-func (r *streamRunner) runClosed(ctx context.Context) {
-	var wg sync.WaitGroup
-	think := r.cfg.ThinkMS / 1e3
-	for i := 0; i < r.cfg.Clients; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			base := r.targets.pin(int(r.id)*1000 + id)
-			rng := sim.Stream(r.seed, 10000+r.id*1000+uint64(id))
-			for {
-				gap := time.Duration(rng.Exp(think) * float64(time.Second))
-				t := time.Since(r.start).Seconds()
-				if t < r.cfg.StartSeconds {
-					gap = time.Duration((r.cfg.StartSeconds - t) * float64(time.Second))
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(gap):
-				}
-				t = time.Since(r.start).Seconds()
-				if !r.active(t) {
-					if r.cfg.StopSeconds > 0 && t >= r.cfg.StopSeconds {
-						return
-					}
-					continue
-				}
-				r.request(ctx, base, r.params(rng, t))
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-// params assembles one request's parameters at time t.
-func (r *streamRunner) params(rng *sim.RNG, t float64) txnParams {
-	p := txnParams{Class: r.cfg.Class, Shape: r.cfg.Shape}
-	if p.Shape == "" && r.qfSched != nil {
-		p.Shape = "update"
-		if rng.Bernoulli(clamp01(r.qfSched.Value(t))) {
-			p.Shape = "query"
-		}
-	}
-	if r.kSched != nil {
-		k := int(math.Round(r.kSched.Value(t)))
-		if k < 1 {
-			k = 1
-		}
-		p.K = k
-	}
-	if h := r.cfg.Hotspot; h != nil {
-		items := r.scenario.Items
-		span := int(h.SpanFrac * float64(items))
-		if span < 1 {
-			span = 1
-		}
-		shift := 0
-		if h.ShiftSeconds > 0 {
-			shift = int(t / h.ShiftSeconds)
-		}
-		// Knuth-style multiplicative placement decorrelates successive
-		// hot-set positions across the store.
-		p.Base = int((uint64(shift)*2654435761 + uint64(r.id)*97) % uint64(items))
-		p.Span = span
-	}
-	return p
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-// request performs one logical transaction: the initial attempt plus any
-// configured client-side retries of shed outcomes.
-func (r *streamRunner) request(ctx context.Context, base string, p txnParams) {
-	retryOn := map[int]bool(nil)
-	max := 0
-	var backoff time.Duration
-	if r.cfg.Retry != nil {
-		retryOn, _ = r.cfg.Retry.statuses() // validated
-		max = r.cfg.Retry.Max
-		backoff = time.Duration(r.cfg.Retry.BackoffMS * float64(time.Millisecond))
-	}
-	for attempt := 0; ; attempt++ {
-		// Scenario streams have no global arrival schedule to measure from
-		// (each stream paces itself), so they report raw latency only.
-		status := issueRequest(ctx, r.client, base, r.col, p, time.Time{})
-		if attempt >= max || !retryOn[status] {
-			break
-		}
-		if backoff > 0 {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(backoff):
-			}
-		}
-	}
-	if r.cfg.StallMS > 0 {
-		// Slow-client drip: dwell before releasing this slot/terminal.
-		select {
-		case <-ctx.Done():
-		case <-time.After(time.Duration(r.cfg.StallMS * float64(time.Millisecond))):
-		}
-	}
-}
-
-// histMerge folds the per-stream latency histograms (identical shapes —
-// same timeout span) into aggregate quantiles.
-type histMerge struct {
-	lo, hi  float64
-	buckets []uint64
-	count   uint64
-	sum     float64
-}
-
-func newHistMerge(c *collector) *histMerge {
-	m := &histMerge{}
-	m.add(c)
-	return m
-}
-
-func (m *histMerge) add(c *collector) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m.buckets == nil {
-		m.lo, m.hi = c.hist.Lo, c.hist.Hi
-		m.buckets = make([]uint64, len(c.hist.Buckets))
-	}
-	for i, b := range c.hist.Buckets {
-		if i < len(m.buckets) {
-			m.buckets[i] += b
-		}
-	}
-	m.count += c.lat.Count()
-	m.sum += c.lat.Mean() * float64(c.lat.Count())
-}
-
-func (m *histMerge) mean() float64 {
-	if m.count == 0 {
-		return 0
-	}
-	return m.sum / float64(m.count)
-}
-
-func (m *histMerge) quantile(q float64) float64 {
-	if m.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(m.count))
-	if target == 0 {
-		// Truncation with few samples must not pin quantiles to the
-		// first bucket regardless of where the samples actually landed.
-		target = 1
-	}
-	var cum uint64
-	width := (m.hi - m.lo) / float64(len(m.buckets))
-	for i, c := range m.buckets {
-		cum += c
-		if cum >= target {
-			return m.lo + width*(float64(i)+0.5)
-		}
-	}
-	return m.hi
+	return s
 }

@@ -147,7 +147,7 @@ func TestRunScenarioSmoke(t *testing.T) {
 			{Class: "batch", Mode: "open", Rate: &ScheduleJSON{Kind: "const", Value: 200}},
 		},
 	}
-	rep, err := RunScenario(context.Background(), srv.URL, sc, nil)
+	rep, err := RunScenario(context.Background(), sc, ScenarioOptions{URLs: []string{srv.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRunScenarioWindow(t *testing.T) {
 			StartSeconds: 0.25,
 		}},
 	}
-	if _, err := RunScenario(context.Background(), srv.URL, sc, nil); err != nil {
+	if _, err := RunScenario(context.Background(), sc, ScenarioOptions{URLs: []string{srv.URL}}); err != nil {
 		t.Fatal(err)
 	}
 	if n := early.Load(); n != 0 {
@@ -261,7 +261,7 @@ func TestRunScenarioClusterNeedsActuator(t *testing.T) {
 		}},
 		Cluster: &ClusterConfig{Events: []ClusterEvent{{Action: "kill", AtSeconds: 0.1}}},
 	}
-	_, err := RunScenarioOpts(context.Background(), sc, ScenarioOptions{URLs: []string{"http://127.0.0.1:1"}})
+	_, err := RunScenario(context.Background(), sc, ScenarioOptions{URLs: []string{"http://127.0.0.1:1"}})
 	if err == nil {
 		t.Fatal("cluster events without an actuator: want error, got nil")
 	}
@@ -303,7 +303,7 @@ func TestRunScenarioClusterEventsApplied(t *testing.T) {
 		}},
 	}
 	act := &recordingActuator{start: time.Now()}
-	rep, err := RunScenarioOpts(context.Background(), sc, ScenarioOptions{
+	rep, err := RunScenario(context.Background(), sc, ScenarioOptions{
 		URLs: []string{srv.URL}, Actuator: act,
 	})
 	if err != nil {
@@ -351,12 +351,49 @@ func TestScenarioSpreadsOverTargets(t *testing.T) {
 			{Mode: "closed", Clients: 8, ThinkMS: 5},
 		},
 	}
-	if _, err := RunScenarioOpts(context.Background(), sc, ScenarioOptions{
+	if _, err := RunScenario(context.Background(), sc, ScenarioOptions{
 		URLs: []string{s0.URL, s1.URL},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if hits[0].Load() == 0 || hits[1].Load() == 0 {
 		t.Fatalf("load not spread: %d / %d", hits[0].Load(), hits[1].Load())
+	}
+}
+
+// TestScenarioStreamKeepsSchedule holds an open scenario stream to its
+// arrival schedule: at 2000 tx/s every gap is sub-millisecond, so a pacer
+// that re-anchors each gap to its wake-up time loses the timer's slack on
+// every arrival and sends far fewer requests than scheduled. Arrivals fired
+// late are timed from their intended slots, so the corrected tail can
+// never read below the raw one.
+func TestScenarioStreamKeepsSchedule(t *testing.T) {
+	ts := httptest.NewServer((&stubServer{}).handler())
+	defer ts.Close()
+
+	rate, secs := 2000.0, 1.0
+	if raceEnabled {
+		// One race-instrumented CPU cannot serve 2000 loopback requests a
+		// second, however they are paced. 1000/s still has sub-millisecond
+		// gaps, on which a re-anchoring pacer sends about two thirds.
+		rate = 1000
+	}
+	sc := &Scenario{
+		Name:            "schedule",
+		DurationSeconds: secs,
+		Streams: []StreamConfig{{
+			Mode: "open", Rate: &ScheduleJSON{Kind: "const", Value: rate},
+		}},
+	}
+	rep, err := RunScenario(context.Background(), sc, ScenarioOptions{URLs: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 0.9 * rate * secs; float64(rep.Total.Sent) < want {
+		t.Fatalf("open stream sent %d of %.0f scheduled arrivals, want at least %.0f",
+			rep.Total.Sent, rate*secs, want)
+	}
+	if rep.Total.LatP99 < rep.Total.LatRawP99 {
+		t.Fatalf("corrected p99 %.3fms below raw p99 %.3fms", 1e3*rep.Total.LatP99, 1e3*rep.Total.LatRawP99)
 	}
 }

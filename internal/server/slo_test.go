@@ -257,8 +257,9 @@ func TestSLOFlashCrowdConvergence(t *testing.T) {
 				Rate: &loadgen.ScheduleJSON{Kind: "jump", At: 2, Before: 5, After: 200}},
 		},
 	}
-	rep, err := loadgen.RunScenario(context.Background(), ts.URL, sc,
-		&http.Client{Timeout: 5 * time.Second})
+	rep, err := loadgen.RunScenario(context.Background(), sc, loadgen.ScenarioOptions{
+		URLs: []string{ts.URL}, Client: &http.Client{Timeout: 5 * time.Second},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,6 +101,15 @@ func (c HistCounts) Sub(prev HistCounts) HistCounts {
 	return d
 }
 
+// Add returns the per-bucket sum c + o: the distribution of two
+// histograms' observations together.
+func (c HistCounts) Add(o HistCounts) HistCounts {
+	for i := range c {
+		c[i] += o[i]
+	}
+	return c
+}
+
 // Quantile returns the geometric midpoint of the bucket holding the
 // q-quantile of the counted observations (0 when empty).
 func (c HistCounts) Quantile(q float64) float64 {

@@ -116,67 +116,6 @@ func (tw *TimeWeighted) ResetAt(t float64) {
 	tw.Set(t, v)
 }
 
-// FixedHistogram is a fixed-width bucket histogram over [Lo, Hi);
-// out-of-range observations clamp into the edge buckets. Unlike Histogram
-// it is single-writer (the simulator's collector), with a caller-chosen
-// range.
-type FixedHistogram struct {
-	Lo, Hi  float64
-	Buckets []uint64
-	count   uint64
-	sum     float64
-}
-
-// NewFixedHistogram returns a histogram with n buckets spanning [lo, hi).
-func NewFixedHistogram(lo, hi float64, n int) *FixedHistogram {
-	if n < 1 || hi <= lo {
-		panic("telemetry: invalid histogram shape")
-	}
-	return &FixedHistogram{Lo: lo, Hi: hi, Buckets: make([]uint64, n)}
-}
-
-// Add records an observation.
-func (h *FixedHistogram) Add(v float64) {
-	h.count++
-	h.sum += v
-	idx := int(float64(len(h.Buckets)) * (v - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-}
-
-// Count returns the number of observations.
-func (h *FixedHistogram) Count() uint64 { return h.count }
-
-// Mean returns the observation mean.
-func (h *FixedHistogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile returns an approximate q-quantile from the buckets.
-func (h *FixedHistogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.count))
-	var cum uint64
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		cum += c
-		if cum >= target {
-			return h.Lo + width*(float64(i)+0.5)
-		}
-	}
-	return h.Hi
-}
-
 // Point is one (time, value) observation.
 type Point struct {
 	T float64

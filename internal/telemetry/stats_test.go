@@ -137,40 +137,3 @@ func TestSeriesQuantile(t *testing.T) {
 		t.Fatal("empty quantile should be 0")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewFixedHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	for i, c := range h.Buckets {
-		if c != 10 {
-			t.Fatalf("bucket %d = %d, want 10", i, c)
-		}
-	}
-	med := h.Quantile(0.5)
-	if med < 3 || med > 7 {
-		t.Fatalf("median = %v out of plausible band", med)
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewFixedHistogram(0, 1, 4)
-	h.Add(-5)
-	h.Add(99)
-	if h.Buckets[0] != 1 || h.Buckets[3] != 1 {
-		t.Fatalf("clamping failed: %v", h.Buckets)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewFixedHistogram(1, 1, 4)
-}

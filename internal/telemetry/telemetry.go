@@ -22,8 +22,7 @@
 //     Prometheus, ?format=json for the snapshot, errors as 400) shared by
 //     loadctld and loadctlproxy;
 //   - the simulation-era streaming statistics and time series (Welford,
-//     TimeWeighted, FixedHistogram, Series) of the simulator and the
-//     experiment harness.
+//     TimeWeighted, Series) of the simulator and the experiment harness.
 //
 // The race discipline for Counters is documented on the type: folds read
 // counters in schema order, so writers maintaining cross-counter
