@@ -47,8 +47,6 @@ func main() {
 		classControl = flag.String("class-control", "pool", "what controllers steer: pool (shared limit split by weight), perclass (one controller per class), or slo (regulate per-class p95 to -slo-targets)")
 		sloTargets   = flag.String("slo-targets", "", "per-class p95 targets in seconds for -class-control slo: 'class:seconds,...' (e.g. 'interactive:0.05,batch:2')")
 		items        = flag.Int("items", 4096, "store size D (smaller = more contention)")
-		kvShards     = flag.Int("kv-shards", 0, "kv store shards, rounded up to a power of two (0 = auto from GOMAXPROCS, 1 = unsharded baseline)")
-		groupCommit  = flag.Bool("group-commit", false, "coalesce concurrent OCC commits into flat-combined batches (one shard-lock acquisition per batch)")
 		interval     = flag.Duration("interval", time.Second, "measurement interval")
 		maxRetry     = flag.Int("maxretry", 3, "restart budget per request on CC abort (-1 = no restarts)")
 		queueTimeout = flag.Duration("queue-timeout", 5*time.Second, "max admission wait before shedding (503)")
@@ -81,15 +79,13 @@ func main() {
 	for i, c := range classCfg {
 		names[i] = c.Name
 	}
-	fmt.Printf("loadctld: serving on %s (controller=%s engine=%s items=%d kv-shards=%d interval=%s classes=%s control=%s)\n",
-		*addr, ctrl.Name(), *engine, *items, *kvShards, *interval, strings.Join(names, ","), *classControl)
+	fmt.Printf("loadctld: serving on %s (controller=%s engine=%s items=%d interval=%s classes=%s control=%s)\n",
+		*addr, ctrl.Name(), *engine, *items, *interval, strings.Join(names, ","), *classControl)
 	err = loadctl.Serve(ctx, loadctl.ServerConfig{
 		Addr:            *addr,
 		Controller:      ctrl,
 		Engine:          *engine,
 		Items:           *items,
-		KVShards:        *kvShards,
-		GroupCommit:     *groupCommit,
 		Classes:         classCfg,
 		ClassControl:    *classControl,
 		ClassController: *controller,

@@ -5,8 +5,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -115,6 +118,35 @@ func TestDocumentedCommandLinesUseRealFlags(t *testing.T) {
 				if !defined[fl] {
 					t.Errorf("%s: %s has no flag -%s", cmds[i], binary, fl)
 				}
+			}
+		}
+	}
+}
+
+// TestDefinedFlagsAreDocumented is the reverse check: every flag that
+// loadctld or loadctlproxy defines must be named as -<flag> somewhere in
+// README.md, DESIGN.md or EXPERIMENTS.md, so a new flag cannot ship
+// undocumented.
+func TestDefinedFlagsAreDocumented(t *testing.T) {
+	var docs strings.Builder
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs.Write(b)
+		docs.WriteByte('\n')
+	}
+	text := docs.String()
+	for _, binary := range documentedBinaries {
+		_, defined := definedFlags(t, binary)
+		if len(defined) == 0 {
+			t.Fatalf("found no flag definitions in cmd/%s/main.go", binary)
+		}
+		for _, fl := range slices.Sorted(maps.Keys(defined)) {
+			named := regexp.MustCompile(`(?:^|[^\w-])--?` + regexp.QuoteMeta(fl) + `(?:[^\w-]|$)`)
+			if !named.MatchString(text) {
+				t.Errorf("%s flag -%s is named in none of README.md, DESIGN.md, EXPERIMENTS.md", binary, fl)
 			}
 		}
 	}

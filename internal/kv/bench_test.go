@@ -55,11 +55,8 @@ func benchMixOnce(s *Store, rng *rand.Rand, queryFrac float64) error {
 	}
 }
 
-func benchStore(b *testing.B, shards int, queryFrac float64, group, parallel bool) {
+func benchStore(b *testing.B, shards int, queryFrac float64, parallel bool) {
 	s := NewStoreShards(benchItems, shards)
-	if group {
-		s.EnableGroupCommit()
-	}
 	b.ReportAllocs()
 	if parallel {
 		b.RunParallel(func(pb *testing.PB) {
@@ -86,13 +83,13 @@ func benchStore(b *testing.B, shards int, queryFrac float64, group, parallel boo
 // they must be identical on every machine that runs the suite.
 func benchShardCounts() []int { return []int{1, 8} }
 
-func benchVariants(b *testing.B, queryFrac float64, group bool) {
+func benchVariants(b *testing.B, queryFrac float64) {
 	for _, shards := range benchShardCounts() {
 		b.Run(fmt.Sprintf("shards=%d/serial", shards), func(b *testing.B) {
-			benchStore(b, shards, queryFrac, group, false)
+			benchStore(b, shards, queryFrac, false)
 		})
 		b.Run(fmt.Sprintf("shards=%d/parallel", shards), func(b *testing.B) {
-			benchStore(b, shards, queryFrac, group, true)
+			benchStore(b, shards, queryFrac, true)
 		})
 	}
 }
@@ -100,17 +97,11 @@ func benchVariants(b *testing.B, queryFrac float64, group bool) {
 // BenchmarkStoreReadHeavy is 95% read-only transactions — the regime
 // where even the RWMutex baseline admits parallel readers but bounces one
 // shared lock cache line.
-func BenchmarkStoreReadHeavy(b *testing.B) { benchVariants(b, 0.95, false) }
+func BenchmarkStoreReadHeavy(b *testing.B) { benchVariants(b, 0.95) }
 
 // BenchmarkStoreUpdateHeavy is all read-modify-write transactions — the
 // regime the single commit lock serializes completely.
-func BenchmarkStoreUpdateHeavy(b *testing.B) { benchVariants(b, 0, false) }
-
-// BenchmarkStoreUpdateHeavyGroupCommit is the update mix with the commit
-// batcher enabled: serial (and any -cpu 1 run) measures the batcher's
-// pure overhead, since every batch is a batch of one; at -cpu > 1 the
-// coalesced shard-lock acquisitions show as the amortization payoff.
-func BenchmarkStoreUpdateHeavyGroupCommit(b *testing.B) { benchVariants(b, 0, true) }
+func BenchmarkStoreUpdateHeavy(b *testing.B) { benchVariants(b, 0) }
 
 // BenchmarkStoreUncontended measures per-transaction overhead with
 // conflicts ruled out. The serial variant is the single-goroutine cost

@@ -66,10 +66,6 @@ type Store struct {
 	// released Txn keeps its (cleared) read/write maps, so the serving
 	// hot path begins and commits transactions without allocating.
 	txns sync.Pool
-
-	// gc, when non-nil, routes Commit through the group-commit batcher
-	// (EnableGroupCommit).
-	gc *groupCommitter
 }
 
 // NewStore returns a store with n zero-valued items and an automatic
@@ -264,18 +260,31 @@ func (t *Txn) Set(i int, v int64) { t.writes[i] = v }
 // read (backward validation, as in the paper's timestamp certification).
 // All shards touched by the read and write sets are locked together, in
 // ascending index order, so validation plus install is one atomic step
-// even across shards and lock acquisition cannot deadlock.
+// even across shards and lock acquisition cannot deadlock. The commit or
+// abort is filed on the first shard the transaction touches.
 //
 //loadctl:hotpath
 func (t *Txn) Commit() error {
+	s := t.s
 	touched := t.touchedMask()
-	if t.s.gc != nil {
-		return t.s.gc.commit(t, touched)
+	first := &s.shards[bits.TrailingZeros64(touched)]
+	s.lockShards(touched)
+	defer s.unlockShards(touched)
+	for i, ver := range t.readVers {
+		if s.shards[i&s.mask].vers[i>>s.bits] != ver {
+			first.aborts++
+			first.classAborts[t.class]++
+			return ErrConflict
+		}
 	}
-	t.s.lockShards(touched)
-	err := t.s.certifyApplyLocked(t, touched)
-	t.s.unlockShards(touched)
-	return err
+	for i, v := range t.writes {
+		sh := &s.shards[i&s.mask]
+		sh.vals[i>>s.bits] = v
+		sh.vers[i>>s.bits]++
+	}
+	first.commits++
+	first.classCommits[t.class]++
+	return nil
 }
 
 // touchedMask is the bitmask of shards the transaction's read and write
@@ -295,32 +304,6 @@ func (t *Txn) touchedMask() uint64 {
 		touched = 1
 	}
 	return touched
-}
-
-// certifyApplyLocked validates t's read set and installs its write set,
-// filing the commit or abort on the first shard t itself touches — the
-// identical accounting whether the commit came through the direct path
-// or a group-commit batch. The caller holds (at least) the locks of the
-// shards in touched.
-//
-//loadctl:hotpath
-func (s *Store) certifyApplyLocked(t *Txn, touched uint64) error {
-	first := &s.shards[bits.TrailingZeros64(touched)]
-	for i, ver := range t.readVers {
-		if s.shards[i&s.mask].vers[i>>s.bits] != ver {
-			first.aborts++
-			first.classAborts[t.class]++
-			return ErrConflict
-		}
-	}
-	for i, v := range t.writes {
-		sh := &s.shards[i&s.mask]
-		sh.vals[i>>s.bits] = v
-		sh.vers[i>>s.bits]++
-	}
-	first.commits++
-	first.classCommits[t.class]++
-	return nil
 }
 
 // lockShards write-locks the shards in the bitmask in ascending order.

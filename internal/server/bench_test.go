@@ -47,11 +47,8 @@ func (r *benchRecorder) Header() http.Header         { return r.header }
 func (r *benchRecorder) WriteHeader(code int)        { r.code = code }
 func (r *benchRecorder) Write(p []byte) (int, error) { return len(p), nil }
 
-func benchTxnServer(b *testing.B, shards int, params string, group, parallel bool) {
+func benchTxnServer(b *testing.B, shards int, params string, parallel bool) {
 	store := kv.NewStoreShards(1024, shards)
-	if group {
-		store.EnableGroupCommit()
-	}
 	s, err := New(Config{
 		Controller: core.NewStatic(1 << 20),
 		Engine:     NewOCC(store),
@@ -101,13 +98,13 @@ func benchTxnServer(b *testing.B, shards int, params string, group, parallel boo
 // they must be identical on every machine that runs the suite.
 func benchShardCounts() []int { return []int{1, 8} }
 
-func benchTxnVariants(b *testing.B, params string, group bool) {
+func benchTxnVariants(b *testing.B, params string) {
 	for _, shards := range benchShardCounts() {
 		b.Run(fmt.Sprintf("kvshards=%d/serial", shards), func(b *testing.B) {
-			benchTxnServer(b, shards, params, group, false)
+			benchTxnServer(b, shards, params, false)
 		})
 		b.Run(fmt.Sprintf("kvshards=%d/parallel", shards), func(b *testing.B) {
-			benchTxnServer(b, shards, params, group, true)
+			benchTxnServer(b, shards, params, true)
 		})
 	}
 }
@@ -115,21 +112,13 @@ func benchTxnVariants(b *testing.B, params string, group bool) {
 // BenchmarkTxnUpdateHeavy is all updaters writing every accessed item —
 // the mix that fully serialized on the old global commit lock.
 func BenchmarkTxnUpdateHeavy(b *testing.B) {
-	benchTxnVariants(b, "?class=update&k=8", false)
+	benchTxnVariants(b, "?class=update&k=8")
 }
 
 // BenchmarkTxnReadHeavy is all queries — reads share shard RLocks and the
 // striped accounting is the only write traffic.
 func BenchmarkTxnReadHeavy(b *testing.B) {
-	benchTxnVariants(b, "?class=query&k=8", false)
-}
-
-// BenchmarkTxnUpdateHeavyGroupCommit is the update mix with the kv
-// group-commit batcher on: serial runs price the batcher's overhead
-// (every batch is a batch of one), parallel runs at -cpu > 1 show the
-// amortized shard-lock acquisition.
-func BenchmarkTxnUpdateHeavyGroupCommit(b *testing.B) {
-	benchTxnVariants(b, "?class=update&k=8", true)
+	benchTxnVariants(b, "?class=query&k=8")
 }
 
 // BenchmarkTxnFrontDoor is BenchmarkTxnUpdateHeavy (one shard, serial)
@@ -177,8 +166,8 @@ func BenchmarkTxnFrontDoor(b *testing.B) {
 // snapshot, the interval delta and its p95 quantile scans, the SLO
 // controller updates, and the telemetry fold. This is the fixed per-
 // interval cost the regulation mode adds off the request hot path; it is
-// captured in CI (BENCH_PR8) so regressions in the tick are as visible
-// as regressions in /txn.
+// captured in CI's benchmark artifact so regressions in the tick are as
+// visible as regressions in /txn.
 func BenchmarkTickSLO(b *testing.B) {
 	store := kv.NewStoreShards(1024, 0)
 	s, err := New(Config{

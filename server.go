@@ -42,20 +42,6 @@ type ServerConfig struct {
 	Engine string
 	// Items is the store size D (default 4096; smaller = more contention).
 	Items int
-	// KVShards is the kv store's shard count: items are interleaved over
-	// this many independently locked shards so the commit fast path takes
-	// no store-wide lock. Rounded up to a power of two and clamped to
-	// [1, 64]; 0 selects the automatic count (next power of two at or
-	// above GOMAXPROCS). Use 1 for the unsharded baseline.
-	KVShards int
-	// GroupCommit routes the occ engine's commits through the kv store's
-	// flat-combining group committer: concurrent commits coalesce into
-	// batches that certify and apply under one ascending-order shard-lock
-	// acquisition, amortizing lock traffic under multicore contention.
-	// Certification semantics and per-class commit/abort accounting are
-	// identical to direct commits; a lightly loaded or single-core server
-	// pays a small per-commit overhead for no benefit, so it is opt-in.
-	GroupCommit bool
 	// Classes declares the admission classes (empty = one "default"
 	// class, the single-gate behavior). Each class owns a weighted slice
 	// of the admission pool and sheds in priority order under overload;
@@ -125,13 +111,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if items <= 0 {
 		items = 4096
 	}
-	if cfg.KVShards < 0 {
-		return nil, fmt.Errorf("loadctl: ServerConfig.KVShards %d < 0", cfg.KVShards)
-	}
-	store := kv.NewStoreShards(items, cfg.KVShards)
-	if cfg.GroupCommit {
-		store.EnableGroupCommit()
-	}
+	store := kv.NewStore(items)
 	engine, err := server.NewEngine(cfg.Engine, store)
 	if err != nil {
 		return nil, err

@@ -27,7 +27,6 @@ func TestPublicServerAPI(t *testing.T) {
 		Controller: loadctl.NewPA(paCfg),
 		Engine:     "occ",
 		Items:      64,
-		KVShards:   4,           // explicit shard count through the public config
 		Interval:   time.Minute, // frozen: this test checks plumbing, not control
 	})
 	if err != nil {
@@ -83,66 +82,6 @@ func TestPublicServerAPI(t *testing.T) {
 		Controller: loadctl.NewStatic(4), Engine: "bogus",
 	}); err == nil {
 		t.Fatal("unknown engine accepted")
-	}
-	if _, err := loadctl.NewServer(loadctl.ServerConfig{
-		Controller: loadctl.NewStatic(4), KVShards: -1,
-	}); err == nil {
-		t.Fatal("negative shard count accepted")
-	}
-}
-
-// TestPublicServerGroupCommit runs transactions through a server built
-// with the public GroupCommit switch: commits must flow through the kv
-// group committer and land with the same observable accounting.
-func TestPublicServerGroupCommit(t *testing.T) {
-	srv, err := loadctl.NewServer(loadctl.ServerConfig{
-		Controller:  loadctl.NewStatic(8),
-		Engine:      "occ",
-		Items:       64,
-		KVShards:    4,
-		GroupCommit: true,
-		Interval:    time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	const n = 5
-	for i := 0; i < n; i++ {
-		resp, err := http.Post(ts.URL+"/txn?class=update&k=3", "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tr struct {
-			Status string `json:"status"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || tr.Status != "committed" {
-			t.Fatalf("txn %d: %d/%q", i, resp.StatusCode, tr.Status)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Totals struct {
-			Commits uint64 `json:"commits"`
-		} `json:"totals"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if snap.Totals.Commits != n {
-		t.Fatalf("commits = %d, want %d", snap.Totals.Commits, n)
 	}
 }
 
