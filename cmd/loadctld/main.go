@@ -3,7 +3,7 @@
 // wrapped around an in-memory transactional store and exposed to real
 // network clients.
 //
-//	go run ./cmd/loadctld -addr :8344 -controller pa -engine occ
+//	go run ./cmd/loadctld -addr :8344 -controller pa
 //
 //	# multi-class admission: the canonical interactive/readonly/batch
 //	# split, one adaptive controller per class
@@ -42,7 +42,7 @@ func main() {
 		initial      = flag.Float64("initial", 0, "initial concurrency bound (0 = controller default)")
 		lo           = flag.Float64("lo", 1, "lower static clamp for the bound")
 		hi           = flag.Float64("hi", 1000, "upper static clamp for the bound")
-		engine       = flag.String("engine", "occ", "concurrency control: occ, cert, 2pl, wait-die")
+		engine       = flag.String("engine", "occ", "concurrency control: occ (kv's optimistic certification, the only engine)")
 		classes      = flag.String("classes", "default", "admission classes: 'default' (single gate), 'standard' (interactive/readonly/batch), or 'name:weight:priority[:shape[:k]],...'")
 		classControl = flag.String("class-control", "pool", "what controllers steer: pool (shared limit split by weight), perclass (one controller per class), or slo (regulate per-class p95 to -slo-targets)")
 		sloTargets   = flag.String("slo-targets", "", "per-class p95 targets in seconds for -class-control slo: 'class:seconds,...' (e.g. 'interactive:0.05,batch:2')")
@@ -59,6 +59,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *engine != "occ" {
+		log.Fatalf("loadctld: unknown -engine %q (occ is the only engine)", *engine)
+	}
 	ctrl, err := buildController(*controller, *initial, *lo, *hi)
 	if err != nil {
 		log.Fatal(err)
@@ -84,7 +87,6 @@ func main() {
 	err = loadctl.Serve(ctx, loadctl.ServerConfig{
 		Addr:            *addr,
 		Controller:      ctrl,
-		Engine:          *engine,
 		Items:           *items,
 		Classes:         classCfg,
 		ClassControl:    *classControl,

@@ -159,27 +159,6 @@ func clampClass(c int) int {
 	return c
 }
 
-// Read returns the committed value of item i without any transaction
-// bookkeeping. It is for engines that provide their own concurrency control
-// (e.g. a lock manager serializing access) and for test seeding.
-func (s *Store) Read(i int) int64 {
-	sh := &s.shards[i&s.mask]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.vals[i>>s.bits]
-}
-
-// Write installs v at item i outside any transaction, bumping the item's
-// version so concurrent optimistic transactions that read it will fail
-// certification. Like Read it serves externally-serialized engines.
-func (s *Store) Write(i int, v int64) {
-	sh := &s.shards[i&s.mask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.vals[i>>s.bits] = v
-	sh.vers[i>>s.bits]++
-}
-
 // Txn is one optimistic transaction. Not safe for concurrent use by
 // multiple goroutines (one transaction = one goroutine, as in the model).
 type Txn struct {

@@ -4,18 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
-	"github.com/tpctl/loadctl/internal/cc"
-	"github.com/tpctl/loadctl/internal/db"
 	"github.com/tpctl/loadctl/internal/kv"
 )
 
 // ErrAborted is returned by Engine.Exec when concurrency control kills the
-// attempt (certification failure, deadlock victim, wait-die loser). The
-// caller decides whether to restart — exactly the retry loop whose wasted
-// work drives the thrashing the controllers fight.
+// attempt (a certification failure). The caller decides whether to
+// restart — exactly the retry loop whose wasted work drives the thrashing
+// the controllers fight.
 var ErrAborted = errors.New("server: transaction aborted by concurrency control")
 
 // TxnSpec is one transaction attempt: the items to access in order and the
@@ -95,143 +91,11 @@ func (e *occEngine) Exec(ctx context.Context, spec TxnSpec) error {
 	return nil
 }
 
-// ccEngine adapts any cc.Protocol — designed for the single-threaded
-// simulation engine — to live goroutine concurrency. Protocol calls are
-// serialized under mu (the protocol is the bottleneck resource, as a lock
-// manager is in a real DBMS); Blocked results park the goroutine on a
-// per-transaction channel outside the lock, and the unblocked lists
-// returned by Commit/Abort wake the granted waiters. Data lives in the kv
-// store, accessed through its direct Read/Write path since the protocol
-// provides the serialization guarantees.
-type ccEngine struct {
-	name  string
-	store *kv.Store
-	start time.Time
-
-	mu      sync.Mutex
-	proto   cc.Protocol
-	nextID  cc.TxnID
-	waiters map[cc.TxnID]chan struct{}
-}
-
-// NewCC wraps proto around the store. The protocol instance must be used by
-// this engine exclusively.
-func NewCC(store *kv.Store, proto cc.Protocol) Engine {
-	return &ccEngine{
-		name:    "cc-" + proto.Name(),
-		store:   store,
-		start:   time.Now(),
-		proto:   proto,
-		waiters: make(map[cc.TxnID]chan struct{}),
-	}
-}
-
-// Name implements Engine.
-func (e *ccEngine) Name() string { return e.name }
-
-// Stats returns a snapshot of the wrapped protocol's counters.
-func (e *ccEngine) Stats() cc.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.proto.Stats()
-}
-
-func (e *ccEngine) now() float64 { return time.Since(e.start).Seconds() }
-
-// wakeLocked closes the wait channels of newly unblocked transactions.
-// Callers hold mu.
-func (e *ccEngine) wakeLocked(ids []cc.TxnID) {
-	for _, id := range ids {
-		if ch, ok := e.waiters[id]; ok {
-			delete(e.waiters, id)
-			close(ch)
-		}
-	}
-}
-
-// Exec implements Engine: Begin → Access* (blocking where the protocol
-// says so) → Certify → Commit/Abort. mu covers individual protocol calls
-// only — never the data accesses between them — so transactions genuinely
-// interleave: optimistic protocols see real certification conflicts and
-// blocking protocols real lock waits, reproducing the contention the
-// controllers are built to manage. Writes are buffered and installed
-// atomically with Certify+Commit under mu, which makes the
-// validate-then-apply step indivisible for optimistic protocols and keeps
-// strictness (writes only under held locks) for blocking ones.
-func (e *ccEngine) Exec(ctx context.Context, spec TxnSpec) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.nextID++
-	id := e.nextID
-	e.proto.Begin(id, e.now())
-	e.mu.Unlock()
-
-	writes := make(map[int]int64, len(spec.Keys))
-	for i, key := range spec.Keys {
-		e.mu.Lock()
-		switch e.proto.Access(id, db.Item(key), spec.Write[i]) {
-		case cc.Blocked:
-			ch := make(chan struct{})
-			e.waiters[id] = ch
-			e.mu.Unlock()
-			select {
-			case <-ch:
-				// Granted as part of another transaction's release; the
-				// lock is ours, fall through to the data access.
-			case <-ctx.Done():
-				e.mu.Lock()
-				delete(e.waiters, id)
-				e.wakeLocked(e.proto.Abort(id))
-				e.mu.Unlock()
-				return ctx.Err()
-			}
-		case cc.AbortSelf:
-			e.wakeLocked(e.proto.Abort(id))
-			e.mu.Unlock()
-			return ErrAborted
-		default:
-			e.mu.Unlock()
-		}
-		v, buffered := writes[key]
-		if !buffered {
-			v = e.store.Read(key)
-		}
-		if spec.Write[i] {
-			writes[key] = v + 1
-		}
-	}
-
-	e.mu.Lock()
-	if !e.proto.Certify(id) {
-		e.wakeLocked(e.proto.Abort(id))
-		e.mu.Unlock()
-		return ErrAborted
-	}
-	for key, v := range writes {
-		e.store.Write(key, v)
-	}
-	e.wakeLocked(e.proto.Commit(id, e.now()))
-	e.mu.Unlock()
-	return nil
-}
-
-// NewEngine builds an engine by name over the store: "occ" (kv-native
-// optimistic, default), "cert" (the paper's timestamp certification via the
-// cc protocol), "2pl" (strict two-phase locking with deadlock detection),
-// or "wait-die" (2PL with wait-die prevention).
+// NewEngine builds an engine by name over the store. "occ" (or "") is
+// the only engine; any other name is an error.
 func NewEngine(name string, store *kv.Store) (Engine, error) {
-	switch name {
-	case "", "occ":
-		return NewOCC(store), nil
-	case "cert":
-		return NewCC(store, cc.NewCertification(db.New(store.Size()))), nil
-	case "2pl":
-		return NewCC(store, cc.NewTwoPL()), nil
-	case "wait-die":
-		return NewCC(store, cc.NewWaitDie()), nil
-	default:
-		return nil, fmt.Errorf("server: unknown engine %q (want occ, cert, 2pl, wait-die)", name)
+	if name != "" && name != "occ" {
+		return nil, fmt.Errorf("server: unknown engine %q (want occ)", name)
 	}
+	return NewOCC(store), nil
 }

@@ -288,10 +288,12 @@ func (s *Server) loadSignal() *cachedSignal {
 	if s.draining.Load() {
 		sig.Status = loadsig.StatusDraining
 	}
+	// Only Name is read: a slo-scope switch rewrites SLOTarget under s.mu,
+	// which this refresh does not hold, so the entries are not copied whole.
 	mask := s.shedMask.Load()
-	for ci, cc := range s.classes {
+	for ci := range s.classes {
 		if ci < 64 && mask&(1<<uint(ci)) != 0 {
-			sig.Shedding = append(sig.Shedding, cc.Name)
+			sig.Shedding = append(sig.Shedding, s.classes[ci].Name)
 		}
 	}
 	// Open incident count rides the signal so routing tiers see incident

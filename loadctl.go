@@ -33,8 +33,8 @@
 //
 // Serve exposes the same adaptive admission control as an HTTP transaction
 // server (endpoints /txn, /metrics, /controller), executing transactions
-// against an in-process store under a selectable concurrency-control
-// engine:
+// against an in-process store that certifies them optimistically at
+// commit:
 //
 //	err := loadctl.Serve(ctx, loadctl.ServerConfig{Addr: ":8344"})
 //

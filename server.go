@@ -27,19 +27,15 @@ func DefaultClasses() []ClassConfig { return server.DefaultClasses() }
 
 // ServerConfig configures the network-facing transaction front-end: an
 // HTTP server whose /txn endpoint runs each request through the adaptive
-// multi-class admission gate and a concurrency-controlled in-memory
-// store, with /metrics and /controller for observation and live
-// controller switching.
+// multi-class admission gate and an in-memory store with optimistic
+// concurrency control (kv's commit-time certification), with /metrics and
+// /controller for observation and live controller switching.
 type ServerConfig struct {
 	// Addr is the listen address for Serve (default ":8344").
 	Addr string
 	// Controller re-estimates the concurrency limit; required for New.
 	// Use NewPA(DefaultPAConfig()) for the paper's best-performing choice.
 	Controller Controller
-	// Engine selects concurrency control: "occ" (kv-native optimistic,
-	// default), "cert" (the paper's timestamp certification), "2pl"
-	// (strict two-phase locking, deadlock detection), or "wait-die".
-	Engine string
 	// Items is the store size D (default 4096; smaller = more contention).
 	Items int
 	// Classes declares the admission classes (empty = one "default"
@@ -111,14 +107,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if items <= 0 {
 		items = 4096
 	}
-	store := kv.NewStore(items)
-	engine, err := server.NewEngine(cfg.Engine, store)
-	if err != nil {
-		return nil, err
-	}
 	inner, err := server.New(server.Config{
 		Controller:      cfg.Controller,
-		Engine:          engine,
+		Engine:          server.NewOCC(kv.NewStore(items)),
 		Items:           items,
 		Classes:         cfg.Classes,
 		ClassControl:    cfg.ClassControl,

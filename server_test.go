@@ -25,7 +25,6 @@ func TestPublicServerAPI(t *testing.T) {
 	paCfg.Initial = 16
 	srv, err := loadctl.NewServer(loadctl.ServerConfig{
 		Controller: loadctl.NewPA(paCfg),
-		Engine:     "occ",
 		Items:      64,
 		Interval:   time.Minute, // frozen: this test checks plumbing, not control
 	})
@@ -77,11 +76,6 @@ func TestPublicServerAPI(t *testing.T) {
 
 	if _, err := loadctl.NewServer(loadctl.ServerConfig{}); err == nil {
 		t.Fatal("config without controller accepted")
-	}
-	if _, err := loadctl.NewServer(loadctl.ServerConfig{
-		Controller: loadctl.NewStatic(4), Engine: "bogus",
-	}); err == nil {
-		t.Fatal("unknown engine accepted")
 	}
 }
 
